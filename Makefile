@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race chaos fuzz fuzz-smoke bench-lattice bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
+.PHONY: build vet test race perfbench-test chaos fuzz fuzz-smoke bench-lattice bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate lab-gate gate verify
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ test:
 # the schedules the parallel lattice explorer is exercised under.
 race:
 	$(GO) test -race -count=2 ./...
+
+# The perfbench module (its own go.mod, so ./... above skips it): vet
+# plus its reference-oracle, determinism and statistics tests.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The chaos regressions run on short deterministic seed lists, so they
 # are part of the normal test suite; this target runs just them.
@@ -89,4 +94,4 @@ lab-gate:
 gate:
 	GO=$(GO) bash scripts/gate.sh
 
-verify: build vet race fuzz-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate
+verify: build vet race perfbench-test fuzz-smoke bench-clock bench-treeclock telemetry-gate serve-smoke crash-gate

@@ -255,6 +255,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stdout, "gompaxd: recovered %d interrupted session(s) from an unclean stop\n", n)
 	}
 
+	// Catch SIGTERM/SIGINT before any listener is up: no client can
+	// reach the daemon earlier, so a signal sent at any point after a
+	// session starts drains the daemon instead of killing it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sig)
+
 	var tcpAddr string
 	if *listen != "" {
 		addr, err := d.ListenTCP(*listen)
@@ -296,8 +303,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ready <- tcpAddr
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	s := <-sig
 	signal.Stop(sig)
 	fmt.Fprintf(stdout, "gompaxd: %s received, draining (grace %s)\n", s, *grace)

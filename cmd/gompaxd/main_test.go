@@ -2,13 +2,22 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"gompax/internal/instrument"
+	"gompax/internal/logic"
+	"gompax/internal/mtl"
+	"gompax/internal/progs"
+	"gompax/internal/sched"
 	"gompax/internal/serve"
 )
 
@@ -167,5 +176,169 @@ func TestVerifyStore(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "verified") || !strings.Contains(out.String(), "1 orphan(s) recovered") {
 		t.Fatalf("verify-store output: %q", out.String())
+	}
+}
+
+// TestGompaxdProcess is a helper, not a test: the signal test below
+// re-executes this test binary with only it selected and gompaxd's
+// arguments after "--", turning the child into a gompaxd process.
+func TestGompaxdProcess(t *testing.T) {
+	args := flag.Args()
+	if len(args) == 0 {
+		t.Skip("helper process for TestSIGTERMAfterFirstVerdict")
+	}
+	os.Exit(run(args, os.Stdout, os.Stderr, nil))
+}
+
+// TestSIGTERMAfterFirstVerdict runs gompaxd as a real child process
+// and sends it SIGTERM the moment the first VERDICT arrives: the
+// signal handler must already be installed, so the daemon drains,
+// exits 0 and keeps the verdict in its store.
+func TestSIGTERMAfterFirstVerdict(t *testing.T) {
+	dir := t.TempDir()
+	addrFile := filepath.Join(dir, "addr")
+	storePath := filepath.Join(dir, "store")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGompaxdProcess$", "--",
+		"-spec", "crossing="+progs.CrossingProperty,
+		"-listen", "127.0.0.1:0",
+		"-store", storePath,
+		"-addr-file", addrFile,
+		"-log-level", "warn")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	var addr string
+	for deadline := time.Now().Add(20 * time.Second); addr == ""; {
+		if b, err := os.ReadFile(addrFile); err == nil && strings.HasSuffix(string(b), "\n") {
+			addr = strings.TrimSpace(string(b))
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never wrote its address\n%s", out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	parsed, err := mtl.Parse(progs.Crossing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := mtl.Compile(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := logic.MustParseFormula(progs.CrossingProperty)
+	initial, err := instrument.InitialState(code.Prog, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := serve.Dial("tcp", addr, serve.SessionRequest{Spec: "crossing"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := instrument.RunStreaming(code, instrument.PolicyFor(f), initial, sched.NewRandom(3), 0, cl.Conn()); err != nil {
+		t.Fatal(err)
+	}
+	if cw, ok := cl.Conn().(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	v, err := cl.Finish(20 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case err := <-exited:
+		var ee *exec.ExitError
+		if err != nil && !errors.As(err, &ee) {
+			t.Fatal(err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != exitClean {
+			t.Fatalf("daemon exit %d (%v), want %d\n%s", code, cmd.ProcessState, exitClean, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon never drained\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "drained") {
+		t.Fatalf("missing drain message:\n%s", out.String())
+	}
+	s, err := serve.OpenStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec, ok := s.Get(v.ID)
+	if !ok {
+		t.Fatalf("verdict %s missing from the store (%d records)", v.ID, s.Len())
+	}
+	if rec.Verdict != v.Verdict {
+		t.Fatalf("stored verdict %q, client got %q", rec.Verdict, v.Verdict)
+	}
+}
+
+// TestSIGTERMRightAfterListen sends SIGTERM the instant the session
+// listener accepts a connection — before any session, and as early as
+// a client can possibly reach the daemon. The handler is installed
+// before the listener exists, so the daemon must still drain and exit 0.
+func TestSIGTERMRightAfterListen(t *testing.T) {
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "gompaxd.sock")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGompaxdProcess$", "--",
+		"-spec", "crossing="+progs.CrossingProperty,
+		"-listen", "",
+		"-unix", sock,
+		"-log-level", "warn")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	// Spin until the kernel accepts a connection on the socket: that
+	// happens as soon as the daemon's listen call returns.
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		if c, err := net.Dial("unix", sock); err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never listened\n%s", out.String())
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+		if code := cmd.ProcessState.ExitCode(); code != exitClean {
+			t.Fatalf("daemon exit %d (%v), want %d\n%s", code, cmd.ProcessState, exitClean, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon never drained\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "drained") {
+		t.Fatalf("missing drain message:\n%s", out.String())
 	}
 }

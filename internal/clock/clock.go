@@ -40,6 +40,7 @@ package clock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,21 +177,35 @@ func (r Ref) chunkAt(ci int) *chunk {
 	return r.p.chunkAt(ci)
 }
 
+// AppendTo appends the Len significant components to dst in one
+// traversal of either substrate and returns the extended slice. It is
+// the bulk counterpart of Get: a caller that needs every component
+// pays one walk, not one root-to-leaf descent per component.
+func (r Ref) AppendTo(dst []uint64) []uint64 {
+	if r.p == nil {
+		return dst
+	}
+	start, n := len(dst), r.p.n
+	if r.p.flat != nil {
+		for ci, c := range r.p.flat {
+			dst = append(dst, c[:min(chunkSize, n-ci<<chunkShift)]...)
+		}
+		return dst
+	}
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
+	clear(out) // treeFill skips nil (all-zero) subtrees
+	treeFill(out, r.p.tree, 0, r.p.height())
+	return dst
+}
+
 // VC materializes the clock as a mutable vc.VC of length Len. The
 // result is fresh and safe to mutate.
 func (r Ref) VC() vc.VC {
 	if r.p == nil {
 		return nil
 	}
-	out := make(vc.VC, r.p.n)
-	if r.p.flat != nil {
-		for i := range out {
-			out[i] = r.p.flat[i>>chunkShift][i&(chunkSize-1)]
-		}
-	} else {
-		treeFill(out, r.p.tree, 0, r.p.height())
-	}
-	return out
+	return r.AppendTo(make(vc.VC, 0, r.p.n))
 }
 
 // Key returns the compact normalized string key, identical to
@@ -312,6 +327,65 @@ func Concurrent(a, b Ref) bool {
 // candidate message.
 func Precedes(a Ref, i int, b Ref) bool {
 	return a.Get(i) <= b.Get(i)
+}
+
+// LeqExcept is the consistent-cut test: it reports whether a[j] ≤ b[j]
+// for every component j ≠ skip. With a the clock of thread skip's next
+// event and b a cut's per-thread counts, it says whether every causal
+// predecessor of the event on the other threads is inside the cut —
+// whether the event consistently extends the cut. A skip outside
+// [0, Len) compares every component.
+//
+// The precomputed sums give an O(1) reject (pointwise ≤ off skip
+// implies a.sum−a[skip] ≤ b.sum−b[skip]); otherwise the test walks the
+// chunks on either substrate, skipping shared chunks and subtrees.
+func LeqExcept(a, b Ref, skip int) bool {
+	if a.p == b.p || a.p == nil {
+		return true
+	}
+	as, bs := a.Get(skip), b.Get(skip)
+	if a.p.sum-as > b.Sum()-bs {
+		return false
+	}
+	return blocker(a, b, skip, as, bs) < 0
+}
+
+// Blocker is LeqExcept with a witness: it returns one component j ≠
+// skip with a[j] > b[j], or -1 when LeqExcept(a, b, skip) holds. The
+// witness (j, a[j]) is a property of a alone, so any b' with b'[j] <
+// a[j] fails the same test — an explorer can reject later cuts against
+// the same event in O(1) without walking the clocks again.
+func Blocker(a, b Ref, skip int) int {
+	if a.p == b.p || a.p == nil {
+		return -1
+	}
+	return blocker(a, b, skip, a.Get(skip), b.Get(skip))
+}
+
+// blocker implements Blocker for a nonzero a; as and bs are a[skip]
+// and b[skip].
+func blocker(a, b Ref, skip int, as, bs uint64) int {
+	n := a.p.n
+	if n > b.Len() && n-1 != skip {
+		return n - 1 // a's last component is nonzero, b's is zero
+	}
+	if a.p.tree != nil && b.p != nil && b.p.tree != nil {
+		return treeBlockerRoots(a.p.tree, a.p.height(), b.p.tree, b.p.height(), skip, as, bs)
+	}
+	nc := (n + chunkSize - 1) >> chunkShift
+	for ci := 0; ci < nc; ci++ {
+		ca, cb := a.p.chunkAt(ci), b.chunkAt(ci)
+		if ca == cb {
+			continue
+		}
+		base := ci << chunkShift
+		for k := 0; k < chunkSize; k++ {
+			if ca[k] > cb[k] && base+k != skip {
+				return base + k
+			}
+		}
+	}
+	return -1
 }
 
 // Compare orders clocks component-lexicographically: the first index

@@ -352,6 +352,89 @@ func treeLeqRoots(a *tnode, ha int, b *tnode, hb int) bool {
 	return treeLeq(a, b, ha)
 }
 
+// treeBlocker implements Blocker over two same-height subtrees
+// covering chunks from cbase: it returns a component j ≠ skip with
+// a[j] > b[j], or -1. as and bs are a[skip] and b[skip]. Shared and
+// all-zero subtrees of a are skipped by pointer; when the sums off
+// skip prove a blocker exists, the walk descends straight to it
+// instead of scanning subtrees in index order.
+func treeBlocker(a, b *tnode, cbase, h, skip int, as, bs uint64) int {
+	if a == b || a == nil {
+		return -1
+	}
+	if h == 0 {
+		cb := zeroChunk
+		if b != nil {
+			cb = b.leaf
+		}
+		base := cbase << chunkShift
+		for k, x := range a.leaf {
+			if x > cb[k] && base+k != skip {
+				return base + k
+			}
+		}
+		return -1
+	}
+	span := kidSpan(h)
+	// Guided descent: a kid whose sum off skip exceeds b's must hold a
+	// blocker. skip>>chunkShift is negative for a negative skip, so it
+	// then lies in no kid.
+	sc := skip >> chunkShift
+	for k := 0; k < treeFanout; k++ {
+		ka, kb := a.kids[k], kidOf(b, k)
+		if ka == nil || ka == kb {
+			continue
+		}
+		asum, bsum := ka.sum, uint64(0)
+		if kb != nil {
+			bsum = kb.sum
+		}
+		if lo := cbase + k*span; sc >= lo && sc < lo+span {
+			asum, bsum = asum-as, bsum-bs
+		}
+		if asum > bsum {
+			return treeBlocker(ka, kb, cbase+k*span, h-1, skip, as, bs)
+		}
+	}
+	for k := 0; k < treeFanout; k++ {
+		if j := treeBlocker(a.kids[k], kidOf(b, k), cbase+k*span, h-1, skip, as, bs); j >= 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// kidOf returns child k of t, nil for an all-zero t.
+func kidOf(t *tnode, k int) *tnode {
+	if t == nil {
+		return nil
+	}
+	return t.kids[k]
+}
+
+// treeBlockerRoots aligns roots of different heights for Blocker.
+// When a is taller, everything outside its leftmost spine faces b's
+// implicit zeros; when b is taller, a lives under b's leftmost spine.
+func treeBlockerRoots(a *tnode, ha int, b *tnode, hb, skip int, as, bs uint64) int {
+	for ha > hb {
+		span := kidSpan(ha)
+		for k := 1; k < treeFanout; k++ {
+			if j := treeBlocker(a.kids[k], nil, k*span, ha-1, skip, as, bs); j >= 0 {
+				return j
+			}
+		}
+		if a = a.kids[0]; a == nil {
+			return -1
+		}
+		ha--
+	}
+	for hb > ha && b != nil {
+		b = b.kids[0]
+		hb--
+	}
+	return treeBlocker(a, b, 0, ha, skip, as, bs)
+}
+
 // treeEqual compares two same-height subtrees, pruning on pointer
 // identity and on the aggregates.
 func treeEqual(a, b *tnode, h int) bool {

@@ -188,16 +188,7 @@ func (c *Computation) CanAdvance(cut Cut, thread int) bool {
 	if next > len(c.perThread[thread]) {
 		return false
 	}
-	v := c.perThread[thread][next-1].Clock
-	for j := range c.perThread {
-		if j == thread {
-			continue
-		}
-		if v.Get(j) > cut.counts.Get(j) {
-			return false
-		}
-	}
-	return true
+	return clock.LeqExcept(c.perThread[thread][next-1].Clock, cut.counts, thread)
 }
 
 // Advance extends the cut with the next relevant event of the given

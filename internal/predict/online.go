@@ -37,10 +37,35 @@ type Online struct {
 	// table interns the cut clocks the analysis mints, so frontier Refs
 	// compare by identity and Ticks share structure with their parents.
 	table *clock.Table
-	// frontier maps cut clocks to frontier entries (the shared pentry of
-	// parallel.go; each entry's keys map each reachable monitor state
-	// to one representative path, nil unless Counterexamples was set).
-	frontier map[clock.Ref]*pentry
+	// frontier holds the current level's entries sorted by cut clock
+	// (the shared pentry of parallel.go; each entry's keys map each
+	// reachable monitor state to one representative path, nil unless
+	// Counterexamples was set).
+	frontier []*pentry
+	// scanEnt and scanThread are where ready's scan of the frontier's
+	// (entry, thread) pairs stopped, and stallNeed (0: none) is the
+	// candidate position the pair there waits for. Every pair before it
+	// was found unblocked and stays so — events are only appended and
+	// threads only finish — so a Feed that does not unblock the stalled
+	// pair costs O(1), and a scan never revisits a pair. All three are
+	// reset whenever the frontier is replaced.
+	scanEnt    int
+	scanThread int
+	stallNeed  int
+	// counts is the scratch vector expandSuccessors and ready
+	// materialize a frontier entry's counts into (one traversal per
+	// entry instead of one Get per thread); workerCounts holds one per
+	// goroutine when Workers > 1. countsArr backs counts at the
+	// paper's widths, so those sessions allocate nothing for it.
+	counts       []uint64
+	countsArr    [inlineThreads]uint64
+	workerCounts [][]uint64
+	// blockers caches, per thread, a witness that its candidate event
+	// cannot extend cuts below it (see extends). Sequential path only:
+	// the worker pool skips the cache rather than share it.
+	blockers    []blocker
+	blockersArr [inlineThreads]blocker
+
 	result   Result
 	maxCuts  int
 	maxWidth int
@@ -68,7 +93,6 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		final:     make([]bool, threads),
 		announced: make([]bool, threads),
 		table:     clock.NewTable(),
-		frontier:  map[clock.Ref]*pentry{},
 		maxCuts:   opts.MaxCuts,
 		maxWidth:  opts.MaxWidth,
 		paths:     opts.Counterexamples,
@@ -79,6 +103,15 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 	}
 	for i := range o.pending {
 		o.pending[i] = map[uint64]event.Message{}
+	}
+	o.counts = o.countsArr[:0]
+	switch {
+	case o.workers > 1:
+		o.workerCounts = make([][]uint64, o.workers)
+	case threads <= inlineThreads:
+		o.blockers = o.blockersArr[:threads]
+	default:
+		o.blockers = make([]blocker, threads)
 	}
 	m := prog.NewMonitor()
 	verdict, err := m.Step(initial)
@@ -102,7 +135,7 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		return o, nil
 	}
 	o.progress.record(&o.result.Stats, 1, 0)
-	o.frontier[root.Clock()] = &pentry{counts: root.Clock(), state: initial, keys: map[uint64][]int{m.Key(): nil}}
+	o.setFrontier([]*pentry{{counts: root.Clock(), state: initial, keys: map[uint64][]int{m.Key(): nil}}})
 	return o, nil
 }
 
@@ -285,20 +318,32 @@ func (o *Online) truncateGaps() {
 
 // ready reports whether the current frontier's successor set is fully
 // determined: every (entry, thread) pair either has its candidate
-// event delivered or is known to have none.
+// event delivered or is known to have none. The scan resumes at the
+// pair that stalled the previous call (see scanEnt).
 func (o *Online) ready() bool {
-	for _, ent := range o.frontier {
-		for i := 0; i < o.threads; i++ {
-			need := int(ent.counts.Get(i)) + 1
-			if need <= len(o.events[i]) {
-				continue // candidate available
-			}
-			if !o.final[i] {
-				return false // may still arrive
+	if o.stallNeed > 0 {
+		if i := o.scanThread; o.stallNeed > len(o.events[i]) && !o.final[i] {
+			return false // the candidate may still arrive
+		}
+		o.stallNeed = 0
+		o.scanThread++
+	}
+	for ; o.scanEnt < len(o.frontier); o.scanEnt, o.scanThread = o.scanEnt+1, 0 {
+		o.counts = o.frontier[o.scanEnt].counts.AppendTo(o.counts[:0])
+		for ; o.scanThread < o.threads; o.scanThread++ {
+			i := o.scanThread
+			if need := int(countAt(o.counts, i)) + 1; need > len(o.events[i]) && !o.final[i] {
+				o.stallNeed = need
+				return false
 			}
 		}
 	}
 	return true
+}
+
+// setFrontier replaces the frontier and restarts ready's scan.
+func (o *Online) setFrontier(f []*pentry) {
+	o.frontier, o.scanEnt, o.scanThread, o.stallNeed = f, 0, 0, 0
 }
 
 // advance expands complete levels until blocked on undelivered events.
@@ -321,7 +366,7 @@ func (o *Online) advance() error {
 			// Frontier entries have no available successors at all:
 			// analysis of delivered events is complete.
 			if o.allFinal() {
-				o.frontier = map[clock.Ref]*pentry{}
+				o.setFrontier(nil)
 			}
 			return nil
 		}
@@ -336,10 +381,7 @@ func (o *Online) advance() error {
 		if err := checkBudget(Options{MaxCuts: o.maxCuts, MaxWidth: o.maxWidth}, &o.result.Stats, len(out.next)); err != nil {
 			return err
 		}
-		o.frontier = make(map[clock.Ref]*pentry, len(out.next))
-		for _, e := range out.next {
-			o.frontier[e.counts] = e
-		}
+		o.setFrontier(out.next)
 		for _, vr := range out.viols {
 			cut := lattice.NewCut(vr.counts, vr.state)
 			viol := Violation{Cut: cut, State: vr.state, Level: cut.Level()}
@@ -352,7 +394,9 @@ func (o *Online) advance() error {
 		// The level's violations arrive canonically sorted and deduped
 		// per (cut, monitor state); across parents and levels the same
 		// cut can still recur, so keep reports unique.
-		o.dedupViolations()
+		if len(out.viols) > 0 {
+			o.dedupViolations()
+		}
 		o.progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
 	}
 	return nil
@@ -361,29 +405,76 @@ func (o *Online) advance() error {
 // expandSuccessors enumerates the consistent single-event extensions
 // of one frontier entry from the delivered per-thread event prefixes.
 // It is the online succFn: safe for concurrent calls with distinct
-// entries because the event buffers are not mutated during a level.
-func (o *Online) expandSuccessors(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State)) {
+// entries and workers because the event buffers are not mutated
+// during a level and each worker has its own counts scratch. The
+// entry's counts are read once, in one traversal, so the per-thread
+// work does not grow with the clock's width.
+func (o *Online) expandSuccessors(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, state logic.State)) {
+	buf := &o.counts
+	if o.workerCounts != nil {
+		buf = &o.workerCounts[worker]
+	}
+	counts := ent.counts.AppendTo((*buf)[:0])
+	*buf = counts
 	for i := 0; i < o.threads; i++ {
-		need := int(ent.counts.Get(i)) + 1
+		need := int(countAt(counts, i)) + 1
 		if need > len(o.events[i]) {
 			continue
 		}
-		msg := o.events[i][need-1]
-		if !consistentExtension(msg.Clock, ent.counts, i) {
+		msg := &o.events[i][need-1]
+		if !o.extends(msg.Clock, ent.counts, counts, i, need) {
 			continue
 		}
-		counts := o.table.Tick(ent.counts, i)
-		yield(i, need, counts, applyMessage(ent.state, msg))
+		yield(i, need, o.table.Tick(ent.counts, i), applyMessage(ent.state, *msg))
 	}
+}
+
+// inlineThreads is the thread count up to which an Online keeps its
+// scratch vectors inline: the paper's examples have 2–6 threads.
+const inlineThreads = 8
+
+// blocker is a witness that the event at position need of one thread
+// cannot extend a cut whose component j is below v: the event's clock
+// has v at j. It is a property of the event, not of any cut, so it
+// stays exact for every later cut.
+type blocker struct {
+	need int // candidate position; 0 when nothing is recorded
+	j    int
+	v    uint64
+}
+
+// extends is the consistent-cut test for thread i's candidate event
+// (clock clk, position need) against the cut with clock cut and
+// materialized counts. On the sequential path a failed test records a
+// blocker witness, and later cuts below it are rejected in O(1).
+func (o *Online) extends(clk, cut clock.Ref, counts []uint64, i, need int) bool {
+	if o.blockers == nil {
+		return clock.LeqExcept(clk, cut, i)
+	}
+	bl := &o.blockers[i]
+	if bl.need == need && countAt(counts, bl.j) < bl.v {
+		return false
+	}
+	j := clock.Blocker(clk, cut, i)
+	if j < 0 {
+		return true
+	}
+	*bl = blocker{need: need, j: j, v: clk.Get(j)}
+	return false
+}
+
+// countAt reads component i of a materialized counts vector, which
+// omits trailing zeros.
+func countAt(counts []uint64, i int) uint64 {
+	if i < len(counts) {
+		return counts[i]
+	}
+	return 0
 }
 
 // expandLevelWorkers seals the next level on the worker pool.
 func (o *Online) expandLevelWorkers() (levelOut, error) {
-	entries := make([]*pentry, 0, len(o.frontier))
-	for _, e := range o.frontier {
-		entries = append(entries, e)
-	}
-	return expandLevelParallel(o.prog, entries, o.expandSuccessors, o.workers, o.paths)
+	return expandLevelParallel(o.prog, o.frontier, o.expandSuccessors, o.workers, o.paths)
 }
 
 // expandLevelSequential seals the next level on the calling goroutine,
@@ -394,7 +485,7 @@ func (o *Online) expandLevelSequential() (levelOut, error) {
 	scratch := o.prog.NewMonitor()
 	for _, ent := range o.frontier {
 		var stepErr error
-		o.expandSuccessors(ent, func(thread, index int, counts clock.Ref, state logic.State) {
+		o.expandSuccessors(ent, 0, func(thread, index int, counts clock.Ref, state logic.State) {
 			if stepErr != nil {
 				return
 			}
@@ -492,20 +583,4 @@ func (o *Online) buildRun(ids []int) lattice.Run {
 		run.States = append(run.States, cur)
 	}
 	return run
-}
-
-// consistentExtension checks the consistent-cut condition: every
-// causal predecessor of the event (per its clock) is inside the cut.
-// Normalized Refs carry no trailing zeros, so components at or beyond
-// clk.Len() are zero and trivially inside the cut.
-func consistentExtension(clk clock.Ref, counts clock.Ref, thread int) bool {
-	for j := 0; j < clk.Len(); j++ {
-		if j == thread {
-			continue
-		}
-		if clk.Get(j) > counts.Get(j) {
-			return false
-		}
-	}
-	return true
 }

@@ -51,11 +51,13 @@ type pentry struct {
 // succFn enumerates the consistent single-event extensions of one
 // frontier entry. For each extension it yields the advancing thread,
 // the 1-based index of the applied event within that thread, and the
-// successor's interned counts and state. Implementations must be safe
-// for concurrent calls with distinct entries. All counts yielded within
-// one analysis must come from one interning table, so Refs compare by
-// identity everywhere below.
-type succFn func(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State))
+// successor's interned counts and state. worker identifies the calling
+// goroutine (0 ≤ worker < pool size; 0 on the sequential paths), so an
+// implementation may keep per-worker scratch. Implementations must be
+// safe for concurrent calls with distinct entries and workers. All
+// counts yielded within one analysis must come from one interning
+// table, so Refs compare by identity everywhere below.
+type succFn func(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, state logic.State))
 
 // levelViolation is a violating (cut, monitor state) pair found while
 // expanding one level, before deduplication and reporting.
@@ -119,7 +121,7 @@ func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn,
 				}
 				mWorkerQueue.Add(-1)
 				ent := entries[idx]
-				succs(ent, func(thread, index int, counts clock.Ref, state logic.State) {
+				succs(ent, w, func(thread, index int, counts clock.Ref, state logic.State) {
 					out.edges++
 					tgt, created := table.GetOrCreate(counts.Digest(), counts, func() *pentry {
 						return &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
@@ -254,14 +256,14 @@ func analyzeParallel(prog *monitor.Program, comp *lattice.Computation, opts Opti
 
 	frontier := []*pentry{{counts: root.Clock(), state: root.State(), keys: rootKeys}}
 	table := comp.Table()
-	succs := func(ent *pentry, yield func(thread, index int, counts clock.Ref, state logic.State)) {
+	succs := func(ent *pentry, _ int, yield func(thread, index int, counts clock.Ref, state logic.State)) {
 		for i := 0; i < comp.Threads(); i++ {
 			next := int(ent.counts.Get(i)) + 1
 			if next > comp.Count(i) {
 				continue
 			}
 			m := comp.Message(i, next)
-			if !consistentExtension(m.Clock, ent.counts, i) {
+			if !clock.LeqExcept(m.Clock, ent.counts, i) {
 				continue
 			}
 			counts := table.Tick(ent.counts, i)

@@ -482,7 +482,7 @@ func (d *Daemon) handle(p *pending) {
 		ID: id, Spec: p.sp.name, Tenant: p.tenant,
 		Start: start, Trace: traceID, Progress: progress,
 	})
-	defer untrack()
+	defer untrack() // idempotent: also called once the record is durable
 
 	// The session context aborts the analysis (drain deadline, daemon
 	// stop); closing the connection when it fires unblocks the pump
@@ -517,6 +517,10 @@ func (d *Daemon) handle(p *pending) {
 		dlog.Error("results store append failed", "id", id, "err", err)
 	}
 	vsp.End()
+	// The record now answers /sessions/{id}/progress; leave the live
+	// index before the VERDICT trailer, so a client that asks right
+	// after reading it never sees the session still running.
+	untrack()
 	root.SetAttr("verdict", rec.Verdict)
 	crashpoints.Hit(crashpoints.ServeVerdictPostJournal)
 	d.completed.Add(1)
@@ -577,9 +581,18 @@ func buildRecord(id string, sp *spec, remote string, start time.Time, res predic
 	if aerr != nil {
 		rec.Error = aerr.Error()
 	}
+	// The store index keeps every record for the daemon's lifetime, so
+	// it gets exact-capacity copies: LevelWidths would otherwise alias
+	// the analyzer's doubled backing array.
+	if lw := res.Stats.LevelWidths; lw != nil {
+		rec.Stats.LevelWidths = make([]int, len(lw))
+		copy(rec.Stats.LevelWidths, lw)
+	}
 	if len(res.Violations) > 0 && res.Violations[0].Run != nil {
-		for _, st := range res.Violations[0].Run.States {
-			rec.Counterexample = append(rec.Counterexample, st.String())
+		states := res.Violations[0].Run.States
+		rec.Counterexample = make([]string, len(states))
+		for i, st := range states {
+			rec.Counterexample[i] = st.String()
 		}
 	}
 	return rec

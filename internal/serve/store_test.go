@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"gompax/internal/lattice"
+	"gompax/internal/logic"
 	"gompax/internal/predict"
 	"gompax/internal/serve/segstore"
 	"gompax/internal/wire"
@@ -282,5 +284,58 @@ func TestStoreCompactionKeepsRecords(t *testing.T) {
 	var st segstore.Stats = s.StoreStats()
 	if st.Live != 40 || st.Dir != dir {
 		t.Fatalf("StoreStats() = %+v", st)
+	}
+}
+
+// TestBuildRecordExactCapacity: the store index keeps every record for
+// the daemon's lifetime, so buildRecord must not alias the analyzer's
+// grown LevelWidths backing array or keep append slack in the
+// counterexample — and the stored JSON must be what the aliased
+// record would have serialized.
+func TestBuildRecordExactCapacity(t *testing.T) {
+	const levels = 1537
+	widths := make([]int, 0, 2048) // the online analyzer's doubled capacity
+	for i := 0; i < levels; i++ {
+		widths = append(widths, 1+i%3)
+	}
+	var run lattice.Run
+	for i := 0; i <= levels; i++ {
+		run.States = append(run.States, logic.StateFromMap(map[string]int64{"hub": int64(i)}))
+	}
+	res := predict.Result{
+		Stats:      predict.Stats{Cuts: levels, Levels: levels, LevelWidths: widths},
+		Violations: []predict.Violation{{Run: &run}},
+	}
+	sp := &spec{name: "hub-below", formula: "hub < 256"}
+	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	rec := buildRecord("s1", sp, "127.0.0.1:1", start, res, nil, wire.SessionStats{Frames: 3})
+
+	if lw := rec.Stats.LevelWidths; len(lw) != levels || cap(lw) != len(lw) {
+		t.Fatalf("LevelWidths len %d cap %d, want both %d", len(lw), cap(lw), levels)
+	}
+	if &rec.Stats.LevelWidths[0] == &widths[0] {
+		t.Fatal("LevelWidths aliases the analyzer's backing array")
+	}
+	if ce := rec.Counterexample; len(ce) != levels+1 || cap(ce) != len(ce) {
+		t.Fatalf("Counterexample len %d cap %d, want both %d", len(ce), cap(ce), levels+1)
+	}
+
+	// The JSON is unchanged from the aliasing, append-built record.
+	want := rec
+	want.Stats = res.Stats
+	want.Counterexample = nil
+	for _, st := range run.States {
+		want.Counterexample = append(want.Counterexample, st.String())
+	}
+	got, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(wantJSON) {
+		t.Fatalf("stored JSON changed:\n got %s\nwant %s", got, wantJSON)
 	}
 }

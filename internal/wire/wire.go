@@ -991,10 +991,7 @@ func (r *Receiver) decodeMessage(payload []byte) (event.Message, error) {
 			return m, msgErr(off, "clock delta count", ErrBadLength)
 		}
 		off += n
-		comps := r.clkScratch[:0]
-		for i, pn := 0, prev.Len(); i < pn; i++ {
-			comps = append(comps, prev.Get(i))
-		}
+		comps := prev.AppendTo(r.clkScratch[:0])
 		idx := -1
 		for k := uint64(0); k < count; k++ {
 			gap, n, err := getUvarint(payload[off:])
