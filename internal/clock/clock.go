@@ -69,10 +69,13 @@ var zeroChunk = &chunk{}
 // chunk pointers) or tree (a radix trie of height treeHeight(n) over
 // the same chunks, see tree.go). digest and sum are substrate-
 // independent functions of the value, so mixed-substrate nodes share
-// buckets, comparisons and fast paths.
+// buckets, comparisons and fast paths. next chains the nodes of one
+// table that share a digest (written once, under the shard lock,
+// before the node is published).
 type node struct {
 	flat   []*chunk
 	tree   *tnode
+	next   *node
 	n      int
 	digest uint64
 	sum    uint64
@@ -471,8 +474,8 @@ const tableShards = 32
 
 type tableShard struct {
 	mu      sync.Mutex
-	buckets map[uint64][]*node // digest -> interned nodes
-	_       [32]byte           // reduce false sharing between shards
+	buckets map[uint64]*node // digest -> chain of interned nodes (via next)
+	_       [32]byte         // reduce false sharing between shards
 }
 
 // Table is an interning table: at most one canonical node per distinct
@@ -502,7 +505,7 @@ func NewTableOpts(o Options) *Table {
 		t.threshold = DefaultAutoThreshold
 	}
 	for i := range t.shards {
-		t.shards[i].buckets = make(map[uint64][]*node)
+		t.shards[i].buckets = make(map[uint64]*node)
 	}
 	tableCreated(t)
 	return t
@@ -592,14 +595,16 @@ func nodesEqual(x, y *node) bool {
 func (t *Table) intern(cand *node) Ref {
 	s := &t.shards[cand.digest%tableShards]
 	s.mu.Lock()
-	for _, ex := range s.buckets[cand.digest] {
+	head := s.buckets[cand.digest]
+	for ex := head; ex != nil; ex = ex.next {
 		if nodesEqual(ex, cand) {
 			s.mu.Unlock()
 			mHits.Inc()
 			return Ref{ex}
 		}
 	}
-	s.buckets[cand.digest] = append(s.buckets[cand.digest], cand)
+	cand.next = head
+	s.buckets[cand.digest] = cand
 	s.mu.Unlock()
 	t.size.Add(1)
 	nodeInterned(cand)
@@ -619,9 +624,16 @@ func (t *Table) Intern(comps []uint64) Ref {
 	return t.ops(n).intern(t, comps, n)
 }
 
-// set builds the canonical Ref for r with component i set to x > old,
+// set returns the canonical Ref for r with component i set to x > old,
 // sharing all of r's storage except the path to the chunk containing
 // i. Both Tick and the explorers' cut advancement reduce to this.
+//
+// The successor's digest and sum are O(1) to derive from r's, so set
+// probes the table first: it compares each node in the successor's
+// bucket against "r with V[i] = x" in place, and returns the existing
+// Ref on a hit without building anything. Only a miss builds (and then
+// interns) a new node. Most explorer edges reach a cut some other edge
+// already minted, so this is what makes a duplicate edge free.
 func (t *Table) set(r Ref, i int, x uint64) Ref {
 	old := r.Get(i)
 	if x == old {
@@ -633,7 +645,78 @@ func (t *Table) set(r Ref, i int, x uint64) Ref {
 	}
 	// x == 0 would require re-normalizing trailing zeros; no caller
 	// decreases components, and Tick/Join only raise them.
-	return t.ops(n).set(t, r, i, x, n)
+	var digest, sum uint64
+	if r.p != nil {
+		digest, sum = r.p.digest, r.p.sum
+	}
+	digest ^= contrib(i, old) ^ contrib(i, x)
+	sum += x - old
+	if ex := t.probeSet(r, i, x, n, digest, sum); ex != nil {
+		return Ref{ex}
+	}
+	return t.ops(n).set(t, r, i, old, x, node{n: n, digest: digest, sum: sum})
+}
+
+// probeSet returns the interned node equal to r with component i set
+// to x, or nil. n, digest and sum are that value's precomputed
+// aggregates. A hit pays what intern's nodesEqual would pay against a
+// freshly built candidate, and allocates nothing.
+func (t *Table) probeSet(r Ref, i int, x uint64, n int, digest, sum uint64) *node {
+	s := &t.shards[digest%tableShards]
+	s.mu.Lock()
+	for ex := s.buckets[digest]; ex != nil; ex = ex.next {
+		if ex.n == n && ex.sum == sum && equalSet(ex, r, i, x) {
+			s.mu.Unlock()
+			mHits.Inc()
+			return ex
+		}
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// equalSet reports whether node p (of the same significant length as
+// the successor) holds r's value with component i set to x. Shared
+// chunks and subtrees are skipped by pointer, exactly as nodesEqual
+// skips them between a node and a candidate built from r.
+func equalSet(p *node, r Ref, i int, x uint64) bool {
+	ci := i >> chunkShift
+	if p.tree != nil && (r.p == nil || r.p.tree != nil) {
+		var rt *tnode
+		rh := 0
+		if r.p != nil {
+			rt, rh = r.p.tree, r.p.height()
+		}
+		return treeEqualSet(p.tree, p.height(), rt, rh, ci, i, x)
+	}
+	// Flat, or mixed substrates around an auto promotion: chunk walk.
+	nc := (p.n + chunkSize - 1) >> chunkShift
+	for cj := 0; cj < nc; cj++ {
+		cp, cr := p.chunkAt(cj), r.chunkAt(cj)
+		if cj == ci {
+			if !chunkEqualSet(cp, cr, i, x) {
+				return false
+			}
+		} else if cp != cr && *cp != *cr {
+			return false
+		}
+	}
+	return true
+}
+
+// chunkEqualSet reports whether chunk c equals chunk base with
+// component i (which lives in it) set to x.
+func chunkEqualSet(c, base *chunk, i int, x uint64) bool {
+	k := i & (chunkSize - 1)
+	if c[k] != x {
+		return false
+	}
+	for j := range c {
+		if j != k && c[j] != base[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // Tick returns the clock with component i incremented by one: step 1

@@ -89,9 +89,9 @@ type representation interface {
 	// intern builds the canonical node for the normalized components
 	// comps[:n] (n ≥ 1, comps[n-1] != 0).
 	intern(t *Table, comps []uint64, n int) Ref
-	// set builds r with component i raised to x (x > r.Get(i)); n is
-	// the resulting significant length.
-	set(t *Table, r Ref, i int, x uint64, n int) Ref
+	// set builds and interns r with component i raised from old to x;
+	// agg carries the result's precomputed n, digest and sum.
+	set(t *Table, r Ref, i int, old, x uint64, agg node) Ref
 	// join builds the pointwise maximum of a and b for the general
 	// case: neither side zero, neither dominating; n is the larger
 	// significant length.
@@ -107,10 +107,13 @@ func (flatOps) kind() Repr { return ReprFlat }
 
 func (flatOps) intern(t *Table, comps []uint64, n int) Ref {
 	nc := (n + chunkSize - 1) >> chunkShift
-	chunks := make([]*chunk, nc)
+	p, c0 := newFlatNode(nc)
 	var digest, sum uint64
 	for ci := 0; ci < nc; ci++ {
-		c := &chunk{}
+		c := c0
+		if ci > 0 {
+			c = &chunk{}
+		}
 		base := ci << chunkShift
 		for k := 0; k < chunkSize && base+k < n; k++ {
 			x := comps[base+k]
@@ -118,29 +121,54 @@ func (flatOps) intern(t *Table, comps []uint64, n int) Ref {
 			digest ^= contrib(base+k, x)
 			sum += x
 		}
-		chunks[ci] = c
+		p.flat[ci] = c
 	}
-	return t.intern(&node{flat: chunks, n: n, digest: digest, sum: sum})
+	p.n, p.digest, p.sum = n, digest, sum
+	return t.intern(p)
 }
 
-func (flatOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
-	old := r.Get(i)
-	nc := (n + chunkSize - 1) >> chunkShift
-	chunks := make([]*chunk, nc)
-	for ci := 0; ci < nc; ci++ {
-		chunks[ci] = r.chunkAt(ci)
+func (flatOps) set(t *Table, r Ref, i int, old, x uint64, agg node) Ref {
+	nc := (agg.n + chunkSize - 1) >> chunkShift
+	p, c := newFlatNode(nc)
+	for ci := range p.flat {
+		p.flat[ci] = r.chunkAt(ci)
 	}
 	ci := i >> chunkShift
-	c := *chunks[ci] // copy-on-write: one chunk copied, the rest shared
+	*c = *p.flat[ci] // copy-on-write: one chunk copied, the rest shared
 	c[i&(chunkSize-1)] = x
-	chunks[ci] = &c
-	var digest, sum uint64
-	if r.p != nil {
-		digest, sum = r.p.digest, r.p.sum
+	p.flat[ci] = c
+	p.n, p.digest, p.sum = agg.n, agg.digest, agg.sum
+	return t.intern(p)
+}
+
+// flatOne and flatCOW co-allocate a flat node with the chunk its
+// construction writes (and, for a one-chunk value, with its spine), so
+// building a node costs one allocation at the paper's widths and two
+// beyond. Chunks stay immutable once the node is interned; a chunk
+// another node later shares keeps this allocation alive, which is
+// bounded by one node header per chunk.
+type flatOne struct {
+	node
+	spine [1]*chunk
+	c     chunk
+}
+
+type flatCOW struct {
+	node
+	c chunk
+}
+
+// newFlatNode allocates a flat node with an nc-pointer spine and the
+// chunk the caller fills in.
+func newFlatNode(nc int) (*node, *chunk) {
+	if nc == 1 {
+		b := &flatOne{}
+		b.flat = b.spine[:]
+		return &b.node, &b.c
 	}
-	digest ^= contrib(i, old) ^ contrib(i, x)
-	sum += x - old
-	return t.intern(&node{flat: chunks, n: n, digest: digest, sum: sum})
+	b := &flatCOW{}
+	b.flat = make([]*chunk, nc)
+	return &b.node, &b.c
 }
 
 func (flatOps) join(t *Table, a, b Ref, n int) Ref {

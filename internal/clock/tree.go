@@ -458,6 +458,65 @@ func treeEqual(a, b *tnode, h int) bool {
 	return true
 }
 
+// treeEqualSet reports whether the height-h subtree c equals the
+// subtree r (canonical at height hr ≤ h, implicitly lifted to h) with
+// component i, living in chunk ci, set to x ≠ 0. It walks only the
+// root-to-leaf path to chunk ci; every off-path child is compared with
+// treeEqual, which skips shared subtrees by pointer — the work
+// treeEqual would do against a candidate built by treeSet from r,
+// without building it.
+func treeEqualSet(c *tnode, h int, r *tnode, hr, ci, i int, x uint64) bool {
+	for {
+		if c == nil {
+			return false // the modified subtree holds x ≠ 0
+		}
+		if h == 0 {
+			cr := zeroChunk
+			if r != nil {
+				cr = r.leaf
+			}
+			return chunkEqualSet(c.leaf, cr, i, x)
+		}
+		pk := kidIndex(ci, h)
+		var rp *tnode
+		rph := h - 1
+		for k := 0; k < treeFanout; k++ {
+			// Child k of r lifted to height h: r's own child when r is
+			// already that tall, otherwise r itself under kid 0.
+			rk, rkh := kidOf(r, k), h-1
+			if hr < h {
+				rk, rkh = nil, h-1
+				if k == 0 {
+					rk, rkh = r, hr
+				}
+			}
+			if k == pk {
+				rp, rph = rk, rkh
+			} else if !treeEqualLifted(c.kids[k], h-1, rk, rkh) {
+				return false
+			}
+		}
+		c, h, r, hr = c.kids[pk], h-1, rp, rph
+	}
+}
+
+// treeEqualLifted compares the height-h subtree c with r lifted from
+// height hr ≤ h: above hr, c must be a kids[0]-only spine.
+func treeEqualLifted(c *tnode, h int, r *tnode, hr int) bool {
+	for ; h > hr; h-- {
+		if c == nil || r == nil {
+			return c == nil && r == nil
+		}
+		for k := 1; k < treeFanout; k++ {
+			if c.kids[k] != nil {
+				return false
+			}
+		}
+		c = c.kids[0]
+	}
+	return treeEqual(c, r, h)
+}
+
 // treeCompare orders two same-height subtrees component-
 // lexicographically, skipping shared subtrees.
 func treeCompare(a, b *tnode, h int) int {
@@ -573,8 +632,8 @@ func (treeOps) intern(t *Table, comps []uint64, n int) Ref {
 	return t.intern(&node{tree: root, n: n, digest: root.digest, sum: root.sum})
 }
 
-func (treeOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
-	h := treeHeight(n)
+func (treeOps) set(t *Table, r Ref, i int, old, x uint64, agg node) Ref {
+	h := treeHeight(agg.n)
 	var root *tnode
 	if r.p != nil {
 		var rh int
@@ -582,9 +641,9 @@ func (treeOps) set(t *Table, r Ref, i int, x uint64, n int) Ref {
 		root = treeLift(root, rh, h)
 	}
 	copied := 0
-	nr := treeSet(root, i>>chunkShift, h, i, r.Get(i), x, &copied)
+	nr := treeSet(root, i>>chunkShift, h, i, old, x, &copied)
 	treeOpRecorded(h, copied)
-	return t.intern(&node{tree: nr, n: n, digest: nr.digest, sum: nr.sum})
+	return t.intern(&node{tree: nr, n: agg.n, digest: nr.digest, sum: nr.sum})
 }
 
 func (treeOps) join(t *Table, a, b Ref, n int) Ref {

@@ -50,6 +50,47 @@ func TestStateBasics(t *testing.T) {
 	}
 }
 
+// TestStateEqualsWith checks EqualsWith against building the state
+// with With, for updates of bound and unbound names at every position,
+// and candidates that differ in one binding.
+func TestStateEqualsWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	names := []string{"a", "m", "x", "z"}
+	for it := 0; it < 2000; it++ {
+		m := map[string]int64{}
+		for _, n := range names {
+			if rng.Intn(2) == 0 {
+				m[n] = int64(rng.Intn(3))
+			}
+		}
+		base := StateFromMap(m)
+		name := names[rng.Intn(len(names))]
+		v := int64(rng.Intn(3))
+		want := base.With(name, v)
+		cands := []State{want, base}
+		for _, n := range names {
+			cands = append(cands, want.With(n, 5))
+		}
+		if base.Len() > 0 {
+			cands = append(cands, base.With("q", v))
+		}
+		for _, c := range cands {
+			if got, exp := c.EqualsWith(base, name, v), c.Equal(want); got != exp {
+				t.Fatalf("%v.EqualsWith(%v, %s, %d) = %v, want %v", c, base, name, v, got, exp)
+			}
+		}
+	}
+	s, base := st("x", 1, "y", 2), st("x", 1, "y", 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !s.EqualsWith(base, "y", 2) {
+			t.Fatal("EqualsWith missed an equal state")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EqualsWith allocated: %v allocs per run", allocs)
+	}
+}
+
 func TestExprEval(t *testing.T) {
 	s := st("x", 7, "y", 3)
 	cases := []struct {

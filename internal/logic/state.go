@@ -105,6 +105,38 @@ func (s State) Equal(o State) bool {
 	return true
 }
 
+// EqualsWith reports whether s equals base.With(name, v), without
+// building that state: O(Len) comparisons and no allocation. The
+// lattice explorers use it to confirm that a cut reached along a
+// second edge has the state the first edge computed for it.
+func (s State) EqualsWith(base State, name string, v int64) bool {
+	i := sort.SearchStrings(base.names, name)
+	bound := i < len(base.names) && base.names[i] == name
+	skip := 0 // s[j] pairs with base[j+skip] past the updated binding
+	if !bound {
+		skip = -1
+	}
+	if len(s.names) != len(base.names)-skip {
+		return false
+	}
+	if s.names[i] != name || s.vals[i] != v {
+		return false
+	}
+	for j := range s.names {
+		if j == i {
+			continue
+		}
+		b := j
+		if j > i {
+			b += skip
+		}
+		if s.names[j] != base.names[b] || s.vals[j] != base.vals[b] {
+			return false
+		}
+	}
+	return true
+}
+
 // Tuple renders the values in the paper's angle-bracket notation,
 // ordered by the given variable names, e.g. "<1,1,0>".
 func (s State) Tuple(order []string) string {

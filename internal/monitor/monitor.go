@@ -226,6 +226,26 @@ func (p *Program) TemporalBits() int { return p.bits }
 // through these atoms' truth values.
 func (p *Program) Atoms() []logic.Pred { return append([]logic.Pred(nil), p.atoms...) }
 
+// NumAtoms returns the number of distinct atomic predicates: the
+// length of the truth-value slice StepAtoms consumes.
+func (p *Program) NumAtoms() int { return len(p.atoms) }
+
+// EvalAtoms evaluates the program's atomic predicates in env into dst
+// (len(dst) == NumAtoms(), Atoms() order) — the input StepAtoms takes.
+// A state's atom values are a function of the state alone, so a caller
+// stepping many monitor states into one state evaluates them once.
+// The error is the one Step would return in env.
+func (p *Program) EvalAtoms(env logic.Env, dst []bool) error {
+	for i, a := range p.atoms {
+		v, err := a.Holds(env)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
 // NewMonitor returns a fresh monitor in the pre-initial state.
 func (p *Program) NewMonitor() *Monitor {
 	return &Monitor{
@@ -273,12 +293,8 @@ func (m *Monitor) bit(i int) bool { return m.state&(1<<uint(i)) != 0 }
 // Step advances the monitor into the next state of the run and returns
 // the formula's verdict there.
 func (m *Monitor) Step(env logic.Env) (Verdict, error) {
-	for i, a := range m.prog.atoms {
-		v, err := a.Holds(env)
-		if err != nil {
-			return Violated, err
-		}
-		m.atomVals[i] = v
+	if err := m.prog.EvalAtoms(env, m.atomVals); err != nil {
+		return Violated, err
 	}
 	return m.StepAtoms(m.atomVals), nil
 }

@@ -8,13 +8,10 @@ import (
 	"testing"
 
 	"gompax/internal/event"
-	"gompax/internal/instrument"
 	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
-	"gompax/internal/mtl"
 	"gompax/internal/progs"
-	"gompax/internal/sched"
 )
 
 // deepFanInSession records one progs.DeepFanIn(threads, rounds)
@@ -23,25 +20,8 @@ import (
 // in emission order. Only hub writes are relevant, so the lattice is
 // a chain of threads*rounds+1 cuts over threads-wide clocks.
 func deepFanInSession(tb testing.TB, threads, rounds int, seed int64) (*monitor.Program, logic.State, []event.Message) {
-	tb.Helper()
-	parsed, err := mtl.Parse(progs.DeepFanIn(threads, rounds))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	code, err := mtl.Compile(parsed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	f := logic.MustParseFormula(fmt.Sprintf("hub < %d", threads))
-	initial, err := instrument.InitialState(code.Prog, f)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	out, err := instrument.Run(code, instrument.PolicyFor(f), sched.NewRandom(seed), 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return monitor.MustCompile(f), initial, out.Messages
+	prog, initial, msgs, _ := recordSession(tb, progs.DeepFanIn(threads, rounds), fmt.Sprintf("hub < %d", threads), seed)
+	return prog, initial, msgs
 }
 
 // TestOnlineDeepFanInParity: on deep, wide-clock sessions the online

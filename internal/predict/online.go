@@ -38,7 +38,7 @@ type Online struct {
 	// compare by identity and Ticks share structure with their parents.
 	table *clock.Table
 	// frontier holds the current level's entries sorted by cut clock
-	// (the shared pentry of parallel.go; each entry's keys map each
+	// (the shared pentry of entry.go; each entry's key set maps each
 	// reachable monitor state to one representative path, nil unless
 	// Counterexamples was set).
 	frontier []*pentry
@@ -75,6 +75,10 @@ type Online struct {
 	closed   bool
 	progress *Progress
 	ls       levelSpans
+
+	// reportedViols holds the (cut, state) identity of every reported
+	// violation, so each level checks only the violations it appends.
+	reportedViols map[violSeen]bool
 }
 
 // NewOnline starts an online analysis session. The root monitor is
@@ -135,7 +139,9 @@ func NewOnline(prog *monitor.Program, initial logic.State, threads int, opts Opt
 		return o, nil
 	}
 	o.progress.record(&o.result.Stats, 1, 0)
-	o.setFrontier([]*pentry{{counts: root.Clock(), state: initial, keys: map[uint64][]int{m.Key(): nil}}})
+	rootEnt := &pentry{counts: root.Clock(), state: initial}
+	rootEnt.keys.upsert(m.Key())
+	o.setFrontier([]*pentry{rootEnt})
 	return o, nil
 }
 
@@ -382,20 +388,11 @@ func (o *Online) advance() error {
 			return err
 		}
 		o.setFrontier(out.next)
-		for _, vr := range out.viols {
-			cut := lattice.NewCut(vr.counts, vr.state)
-			viol := Violation{Cut: cut, State: vr.state, Level: cut.Level()}
-			if o.paths {
-				run := o.buildRun(vr.path)
-				viol.Run = &run
-			}
-			o.result.Violations = append(o.result.Violations, viol)
-		}
 		// The level's violations arrive canonically sorted and deduped
-		// per (cut, monitor state); across parents and levels the same
-		// cut can still recur, so keep reports unique.
-		if len(out.viols) > 0 {
-			o.dedupViolations()
+		// per (cut, monitor state); several monitor states can still
+		// violate at one cut, so keep reports unique per (cut, state).
+		for _, vr := range out.viols {
+			o.reportViolation(vr)
 		}
 		o.progress.record(&o.result.Stats, len(o.frontier), len(o.result.Violations))
 	}
@@ -409,7 +406,7 @@ func (o *Online) advance() error {
 // during a level and each worker has its own counts scratch. The
 // entry's counts are read once, in one traversal, so the per-thread
 // work does not grow with the clock's width.
-func (o *Online) expandSuccessors(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, state logic.State)) {
+func (o *Online) expandSuccessors(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, m *event.Message)) {
 	buf := &o.counts
 	if o.workerCounts != nil {
 		buf = &o.workerCounts[worker]
@@ -425,7 +422,7 @@ func (o *Online) expandSuccessors(ent *pentry, worker int, yield func(thread, in
 		if !o.extends(msg.Clock, ent.counts, counts, i, need) {
 			continue
 		}
-		yield(i, need, o.table.Tick(ent.counts, i), applyMessage(ent.state, *msg))
+		yield(i, need, o.table.Tick(ent.counts, i), msg)
 	}
 }
 
@@ -482,54 +479,28 @@ func (o *Online) expandLevelWorkers() (levelOut, error) {
 func (o *Online) expandLevelSequential() (levelOut, error) {
 	var out levelOut
 	next := map[clock.Ref]*pentry{}
-	scratch := o.prog.NewMonitor()
+	st := newStepper(o.prog, o.paths, false, &out)
+	var err error
 	for _, ent := range o.frontier {
-		var stepErr error
-		o.expandSuccessors(ent, 0, func(thread, index int, counts clock.Ref, state logic.State) {
-			if stepErr != nil {
+		o.expandSuccessors(ent, 0, func(thread, index int, counts clock.Ref, m *event.Message) {
+			if err != nil {
 				return
 			}
-			out.edges++
 			tgt := next[counts]
-			if tgt == nil {
-				tgt = &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
+			created := tgt == nil
+			if created {
+				tgt = &pentry{counts: counts, state: applyMessage(ent.state, *m)}
 				next[counts] = tgt
-				out.newCuts++
 			}
-			for mkey, path := range ent.keys {
-				scratch.Restore(mkey)
-				verdict, err := scratch.Step(state)
-				if err != nil {
-					stepErr = err
-					return
-				}
-				out.pairs++
-				if verdict == monitor.Violated {
-					out.viols = append(out.viols, levelViolation{
-						counts: counts, state: state, mkey: mkey,
-						path: extendPath(o.paths, path, thread, index),
-					})
-					continue
-				}
-				// Same merge rule as the parallel workers: keep the
-				// lexicographically least representative path.
-				nk := scratch.Key()
-				if old, seen := tgt.keys[nk]; !seen {
-					tgt.keys[nk] = extendPath(o.paths, path, thread, index)
-				} else if o.paths {
-					if p := extendPath(o.paths, path, thread, index); lessPath(p, old) {
-						tgt.keys[nk] = p
-					}
-				}
-			}
+			err = st.edge(ent, tgt, created, thread, index, m)
 		})
-		if stepErr != nil {
-			return out, stepErr
+		if err != nil {
+			return out, err
 		}
 	}
 	for _, e := range next {
 		out.next = append(out.next, e)
-		out.pairWidth += len(e.keys)
+		out.pairWidth += e.keys.n
 	}
 	sort.Slice(out.next, func(i, j int) bool { return clock.Compare(out.next[i].counts, out.next[j].counts) < 0 })
 	out.violated = len(out.viols)
@@ -547,22 +518,30 @@ func (o *Online) allFinal() bool {
 	return true
 }
 
-func (o *Online) dedupViolations() {
-	type cutState struct {
-		counts clock.Ref
-		state  string
+// violSeen identifies a reported violation by its cut and state.
+type violSeen struct {
+	counts clock.Ref
+	state  string
+}
+
+// reportViolation appends a level's violation to the result unless a
+// violation at the same cut and state was already reported.
+func (o *Online) reportViolation(vr levelViolation) {
+	k := violSeen{counts: vr.counts, state: vr.state.Key()}
+	if o.reportedViols[k] {
+		return
 	}
-	seen := map[cutState]bool{}
-	out := o.result.Violations[:0]
-	for _, v := range o.result.Violations {
-		k := cutState{counts: v.Cut.Clock(), state: v.State.Key()}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, v)
+	if o.reportedViols == nil {
+		o.reportedViols = map[violSeen]bool{}
 	}
-	o.result.Violations = out
+	o.reportedViols[k] = true
+	cut := lattice.NewCut(vr.counts, vr.state)
+	viol := Violation{Cut: cut, State: vr.state, Level: cut.Level()}
+	if o.paths {
+		run := o.buildRun(vr.path.ids())
+		viol.Run = &run
+	}
+	o.result.Violations = append(o.result.Violations, viol)
 }
 
 // onlinePathID encodes an edge (thread, 1-based index) like the

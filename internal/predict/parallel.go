@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gompax/internal/clock"
+	"gompax/internal/event"
 	"gompax/internal/lattice"
 	"gompax/internal/logic"
 	"gompax/internal/monitor"
@@ -36,28 +37,18 @@ import (
 //     sorted canonically (cut key, then monitor key) at the barrier,
 //     making the parallel explorer's output identical run to run.
 
-// pentry is one frontier cut: its per-thread event counts, the global
-// state there, and the monitor states reachable at it, each with one
-// representative path (nil unless counterexamples are tracked). The
-// mutex serializes concurrent merges by parallel workers; the
-// sequential paths never lock it.
-type pentry struct {
-	counts clock.Ref
-	state  logic.State
-	mu     sync.Mutex
-	keys   map[uint64][]int
-}
-
 // succFn enumerates the consistent single-event extensions of one
 // frontier entry. For each extension it yields the advancing thread,
-// the 1-based index of the applied event within that thread, and the
-// successor's interned counts and state. worker identifies the calling
-// goroutine (0 ≤ worker < pool size; 0 on the sequential paths), so an
-// implementation may keep per-worker scratch. Implementations must be
-// safe for concurrent calls with distinct entries and workers. All
-// counts yielded within one analysis must come from one interning
-// table, so Refs compare by identity everywhere below.
-type succFn func(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, state logic.State))
+// the 1-based index of the applied event within that thread, the
+// successor's interned counts and the event itself; the successor's
+// state is derived from the message only if the cut is new (see
+// stepper.edge). worker identifies the calling goroutine (0 ≤ worker <
+// pool size; 0 on the sequential paths), so an implementation may keep
+// per-worker scratch. Implementations must be safe for concurrent
+// calls with distinct entries and workers. All counts yielded within
+// one analysis must come from one interning table, so Refs compare by
+// identity everywhere below.
+type succFn func(ent *pentry, worker int, yield func(thread, index int, counts clock.Ref, m *event.Message))
 
 // levelViolation is a violating (cut, monitor state) pair found while
 // expanding one level, before deduplication and reporting.
@@ -65,7 +56,7 @@ type levelViolation struct {
 	counts clock.Ref
 	state  logic.State
 	mkey   uint64
-	path   []int
+	path   *pathNode
 }
 
 // levelOut is one sealed level.
@@ -113,53 +104,21 @@ func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scratch := prog.NewMonitor()
-			out := &outs[w]
+			st := newStepper(prog, trackPaths, true, &outs[w])
 			for idx := w; idx < len(entries); idx += workers {
 				if errs[w] != nil {
 					return
 				}
 				mWorkerQueue.Add(-1)
 				ent := entries[idx]
-				succs(ent, w, func(thread, index int, counts clock.Ref, state logic.State) {
-					out.edges++
+				succs(ent, w, func(thread, index int, counts clock.Ref, m *event.Message) {
+					if errs[w] != nil {
+						return
+					}
 					tgt, created := table.GetOrCreate(counts.Digest(), counts, func() *pentry {
-						return &pentry{counts: counts, state: state, keys: map[uint64][]int{}}
+						return &pentry{counts: counts, state: applyMessage(ent.state, *m)}
 					})
-					if created {
-						out.newCuts++
-					}
-					// The parent's key set was sealed at the previous
-					// barrier, so it can be read without ent.mu here.
-					for mkey, path := range ent.keys {
-						scratch.Restore(mkey)
-						verdict, err := scratch.Step(state)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						out.pairs++
-						if verdict == monitor.Violated {
-							out.viols = append(out.viols, levelViolation{
-								counts: counts, state: state, mkey: mkey,
-								path: extendPath(trackPaths, path, thread, index),
-							})
-							continue // violated monitor states are not propagated
-						}
-						nk := scratch.Key()
-						tgt.mu.Lock()
-						if old, seen := tgt.keys[nk]; !seen {
-							tgt.keys[nk] = extendPath(trackPaths, path, thread, index)
-						} else if trackPaths {
-							// Keep the lexicographically least representative
-							// path so counterexamples are deterministic no
-							// matter which worker merged first.
-							if p := extendPath(trackPaths, path, thread, index); lessPath(p, old) {
-								tgt.keys[nk] = p
-							}
-						}
-						tgt.mu.Unlock()
-					}
+					errs[w] = st.edge(ent, tgt, created, thread, index, m)
 				})
 			}
 		}(w)
@@ -182,34 +141,12 @@ func expandLevelParallel(prog *monitor.Program, entries []*pentry, succs succFn,
 	table.Range(func(_ clock.Ref, e *pentry) { out.next = append(out.next, e) })
 	sort.Slice(out.next, func(i, j int) bool { return clock.Compare(out.next[i].counts, out.next[j].counts) < 0 })
 	for _, e := range out.next {
-		out.pairWidth += len(e.keys)
+		out.pairWidth += e.keys.n
 	}
 	out.violated = len(out.viols)
 	sortLevelViolations(out.viols)
 	out.viols = dedupLevelViolations(out.viols)
 	return out, nil
-}
-
-// extendPath appends one encoded edge to a representative path,
-// returning nil when paths are not tracked.
-func extendPath(track bool, path []int, thread, index int) []int {
-	if !track {
-		return nil
-	}
-	p := make([]int, len(path)+1)
-	copy(p, path)
-	p[len(path)] = onlinePathID(thread, index)
-	return p
-}
-
-// lessPath orders encoded paths lexicographically.
-func lessPath(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // sortLevelViolations orders a level's violations canonically: by cut
@@ -223,7 +160,7 @@ func sortLevelViolations(vs []levelViolation) {
 		if vs[i].mkey != vs[j].mkey {
 			return vs[i].mkey < vs[j].mkey
 		}
-		return lessPath(vs[i].path, vs[j].path)
+		return comparePaths(vs[i].path, vs[j].path) < 0
 	})
 }
 
@@ -247,27 +184,35 @@ func dedupLevelViolations(vs []levelViolation) []levelViolation {
 // Options.Workers (see Analyze).
 func analyzeParallel(prog *monitor.Program, comp *lattice.Computation, opts Options, workers int) (Result, error) {
 	mAnalyses.With("offline", "parallel").Inc()
-	res, root, rootKeys, done, err := analyzeRoot(prog, comp, opts)
+	res, root, rootKey, done, err := analyzeRoot(prog, comp, opts)
 	defer func() { finishTelemetry(&res); opts.Progress.finish() }()
 	if done || err != nil {
 		return res, err
 	}
 	res.Stats.reserveLevels(totalLevels(comp))
 
-	frontier := []*pentry{{counts: root.Clock(), state: root.State(), keys: rootKeys}}
+	rootEnt := &pentry{counts: root.Clock(), state: root.State()}
+	rootEnt.keys.upsert(rootKey)
+	frontier := []*pentry{rootEnt}
 	table := comp.Table()
-	succs := func(ent *pentry, _ int, yield func(thread, index int, counts clock.Ref, state logic.State)) {
-		for i := 0; i < comp.Threads(); i++ {
+	msgs := make([][]event.Message, comp.Threads())
+	for i := range msgs {
+		msgs[i] = make([]event.Message, comp.Count(i))
+		for k := range msgs[i] {
+			msgs[i][k] = comp.Message(i, k+1)
+		}
+	}
+	succs := func(ent *pentry, _ int, yield func(thread, index int, counts clock.Ref, m *event.Message)) {
+		for i, ms := range msgs {
 			next := int(ent.counts.Get(i)) + 1
-			if next > comp.Count(i) {
+			if next > len(ms) {
 				continue
 			}
-			m := comp.Message(i, next)
+			m := &ms[next-1]
 			if !clock.LeqExcept(m.Clock, ent.counts, i) {
 				continue
 			}
-			counts := table.Tick(ent.counts, i)
-			yield(i, next, counts, applyMessage(ent.state, m))
+			yield(i, next, table.Tick(ent.counts, i), m)
 		}
 	}
 
@@ -327,7 +272,7 @@ func reportViolations(res *Result, viols []levelViolation, reported map[violKey]
 			Level: int(vr.counts.Sum()),
 		}
 		if opts.Counterexamples {
-			run := mkRun(vr.path)
+			run := mkRun(vr.path.ids())
 			viol.Run = &run
 		}
 		res.Violations = append(res.Violations, viol)
@@ -339,15 +284,16 @@ func reportViolations(res *Result, viols []levelViolation, reported map[violKey]
 }
 
 // analyzeRoot steps the root monitor on the initial state and prepares
-// the shared level-0 statistics. done reports that the analysis is
-// already complete (the initial state violates the property).
-func analyzeRoot(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, lattice.Cut, map[uint64][]int, bool, error) {
+// the shared level-0 statistics, returning the root's monitor key.
+// done reports that the analysis is already complete (the initial
+// state violates the property).
+func analyzeRoot(prog *monitor.Program, comp *lattice.Computation, opts Options) (Result, lattice.Cut, uint64, bool, error) {
 	var res Result
 	root := comp.Root()
 	m0 := prog.NewMonitor()
 	v0, err := m0.Step(root.State())
 	if err != nil {
-		return res, root, nil, false, err
+		return res, root, 0, false, err
 	}
 	res.Stats = Stats{Cuts: 1, Pairs: 1, Levels: 1, MaxWidth: 1, MaxPairWidth: 1, LevelWidths: []int{1}}
 	flushRootTelemetry(v0 == monitor.Violated)
@@ -360,8 +306,8 @@ func analyzeRoot(prog *monitor.Program, comp *lattice.Computation, opts Options)
 		opts.Progress.record(&res.Stats, 1, 1)
 		// A violated monitor state is not propagated: every extension is
 		// already reported at its shortest witness.
-		return res, root, nil, true, nil
+		return res, root, 0, true, nil
 	}
 	opts.Progress.record(&res.Stats, 1, 0)
-	return res, root, map[uint64][]int{m0.Key(): pathIfTracking(opts, nil)}, false, nil
+	return res, root, m0.Key(), false, nil
 }

@@ -301,9 +301,13 @@ func (d *Degraded) String() string {
 	return s
 }
 
+// entry is one frontier cut of the offline sequential explorer, which
+// derives every edge's state through Computation.Advance: it is the
+// reference the per-cut caches of the other explorers are checked
+// against.
 type entry struct {
 	cut  lattice.Cut
-	keys map[uint64][]int // monitor key -> representative path (msg ids), nil when not tracking
+	keys keySet
 }
 
 // Analyze runs the predictive safety analysis of the formula compiled
@@ -315,7 +319,7 @@ func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Re
 		return analyzeParallel(prog, comp, opts, w)
 	}
 	mAnalyses.With("offline", "sequential").Inc()
-	res, root, rootKeys, done, err := analyzeRoot(prog, comp, opts)
+	res, root, rootKey, done, err := analyzeRoot(prog, comp, opts)
 	defer func() { finishTelemetry(&res); opts.Progress.finish() }()
 	if done || err != nil {
 		// A violated monitor state is not propagated: the property is a
@@ -325,10 +329,11 @@ func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Re
 	}
 	res.Stats.reserveLevels(totalLevels(comp))
 
-	frontier := map[clock.Ref]*entry{
-		root.Clock(): {cut: root, keys: rootKeys},
-	}
+	rootEnt := &entry{cut: root}
+	rootEnt.keys.upsert(rootKey)
+	frontier := map[clock.Ref]*entry{root.Clock(): rootEnt}
 	scratch := prog.NewMonitor()
+	atoms := make([]bool, prog.NumAtoms())
 	ls := newLevelSpans(opts.Span)
 	// The same violating (cut, monitor state) pair is typically reachable
 	// from several parents; report it once.
@@ -355,35 +360,36 @@ func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Re
 				sk := succ.Cut.Clock()
 				tgt := next[sk]
 				if tgt == nil {
-					tgt = &entry{cut: succ.Cut, keys: map[uint64][]int{}}
+					tgt = &entry{cut: succ.Cut}
 					next[sk] = tgt
 					res.Stats.Cuts++
 				}
-				for mkey, path := range ent.keys {
-					scratch.Restore(mkey)
-					verdict, err := scratch.Step(succ.Cut.State())
-					if err != nil {
-						return res, err
-					}
+				keys := ent.keys.all()
+				if len(keys) == 0 {
+					continue
+				}
+				// Every monitor state steps into the same state, so the
+				// atoms are evaluated once per edge.
+				state := succ.Cut.State()
+				if err := prog.EvalAtoms(state, atoms); err != nil {
+					return res, err
+				}
+				id := pathID(succ)
+				for _, mk := range keys {
+					scratch.Restore(mk.key)
+					verdict := scratch.StepAtoms(atoms)
 					res.Stats.Pairs++
 					if verdict == monitor.Violated {
 						levelViols = append(levelViols, levelViolation{
-							counts: succ.Cut.Clock(), state: succ.Cut.State(), mkey: mkey,
-							path: appendPath(opts, path, succ),
+							counts: sk, state: state, mkey: mk.key,
+							path: extendPath(opts.Counterexamples, mk.path, id),
 						})
 						continue // do not propagate violated monitor states
 					}
 					// Keep the lexicographically least representative path
 					// (the rule the parallel merge applies), so
 					// counterexamples are identical across explorers.
-					nk := scratch.Key()
-					if old, seen := tgt.keys[nk]; !seen {
-						tgt.keys[nk] = appendPath(opts, path, succ)
-					} else if opts.Counterexamples {
-						if p := appendPath(opts, path, succ); lessPath(p, old) {
-							tgt.keys[nk] = p
-						}
-					}
+					tgt.keys.merge(scratch.Key(), mk.path, id, opts.Counterexamples)
 				}
 			}
 		}
@@ -393,7 +399,7 @@ func Analyze(prog *monitor.Program, comp *lattice.Computation, opts Options) (Re
 		if len(next) > 0 {
 			pairs := 0
 			for _, e := range next {
-				pairs += len(e.keys)
+				pairs += e.keys.n
 			}
 			res.Stats.addLevel(len(next), pairs)
 			flushLevelTelemetry(len(next), pairs,
@@ -431,23 +437,6 @@ func applyMessage(s logic.State, m event.Message) logic.State {
 // path storage.
 func pathID(s lattice.Succ) int {
 	return s.Thread<<32 | int(s.Msg.Clock.Get(s.Thread))
-}
-
-func pathIfTracking(opts Options, path []int) []int {
-	if !opts.Counterexamples {
-		return nil
-	}
-	return path
-}
-
-func appendPath(opts Options, path []int, succ lattice.Succ) []int {
-	if !opts.Counterexamples {
-		return nil
-	}
-	out := make([]int, len(path)+1)
-	copy(out, path)
-	out[len(path)] = pathID(succ)
-	return out
 }
 
 // buildRun reconstructs a Run from encoded path ids.

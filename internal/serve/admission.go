@@ -166,7 +166,7 @@ func (a *admitter) next() *pending {
 			var best *tenantState
 			for _, ts := range eligible {
 				ts.current += ts.weight
-				if best == nil || ts.current > best.current {
+				if best == nil || wrrBefore(ts, best) {
 					best = ts
 				}
 			}
@@ -187,6 +187,20 @@ func (a *admitter) next() *pending {
 		}
 		a.cond.Wait()
 	}
+}
+
+// wrrBefore reports whether smooth WRR picks a over b: the larger
+// current credit wins, and ties go to the larger weight, then the
+// smaller name. The tie-break must not depend on admitter.order, which
+// comes from map iteration and so differs from restart to restart.
+func wrrBefore(a, b *tenantState) bool {
+	if a.current != b.current {
+		return a.current > b.current
+	}
+	if a.weight != b.weight {
+		return a.weight > b.weight
+	}
+	return a.name < b.name
 }
 
 // release returns a finished session's inflight slot and wakes workers
