@@ -33,10 +33,13 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzReceiver -fuzztime 10s
 	$(GO) test ./internal/wire/ -fuzz FuzzSessionFaults -fuzztime 10s
 
-# Quick fuzz smoke for verify: a few seconds over the frame decoder,
-# enough to catch a decoder regression without stalling the gate.
+# Quick fuzz smoke for verify: a few seconds over the frame decoder
+# and the receivers (whose seeds include a Hello announcing 2^40
+# threads), enough to catch a decoder regression without stalling the
+# gate.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReceiver -fuzztime 5s
 
 # Sequential-vs-parallel exploration benchmarks (baseline in
 # BENCH_lattice.json; regenerate it from this output when the explorer

@@ -53,10 +53,17 @@ func ParseRepr(s string) (Repr, error) {
 }
 
 // DefaultAutoThreshold is the significant length past which an auto
-// table promotes to the tree substrate. Below ~64 components the flat
-// spine copy (one pointer per chunk per Tick) is cheaper than the
-// trie's path copy; past it the spine dominates allocation.
-const DefaultAutoThreshold = 64
+// table promotes to the tree substrate. It is the measured flat/tree
+// crossover of Algorithm A tracking on the progs.DeepFanIn workloads
+// (BENCH_treeclock.json, make bench-treeclock): at 64 and 256 threads
+// flat is cheaper in both bytes and time per event (the trie's path
+// copy and pointer hops cost more than the spine copy it saves); 512
+// is the smallest measured width at which the tree wins on both, and
+// by 1024 it allocates under half of flat's bytes. A value of exactly
+// 512 components stays flat: the crossover lies somewhere between the
+// measured 256 and 512, and auto never promotes a width at which flat
+// was measured to win.
+const DefaultAutoThreshold = 512
 
 // defaultRepr is the process-wide representation used by NewTable,
 // settable once from the -clock-repr flag before tracers start.

@@ -2,6 +2,7 @@ package instrument_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -162,5 +163,31 @@ func TestRunStreamingErrorPropagation(t *testing.T) {
 	err := instrument.RunStreaming(code, policy, initial, sched.NewRandom(1), 0, &buf)
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestStreamingDeepFanInAllocs pins the client-side allocation cost of
+// a 256-thread streaming session (the perfbench deep-fanin program):
+// a scheduler step must not allocate in proportion to the thread
+// count. Allocation counts are deterministic, so the ceiling is a hard
+// bound; a per-step copy of the runnable set costs about 43k allocations
+// here, and a 256-wide session promoted to the tree substrate about 7.6k.
+func TestStreamingDeepFanInAllocs(t *testing.T) {
+	const ceiling = 15000
+	code := mtl.MustCompile(progs.DeepFanIn(256, 6))
+	f := logic.MustParseFormula(`hub >= 0`)
+	initial, err := instrument.InitialState(code.Prog, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := instrument.PolicyFor(f)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := instrument.RunStreaming(code, policy, initial, sched.NewRandom(1), 0, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RunStreaming(DeepFanIn(256,6)): %.0f allocs/session", allocs)
+	if allocs > ceiling {
+		t.Fatalf("RunStreaming(DeepFanIn(256,6)) allocates %.0f times per session, ceiling %d", allocs, ceiling)
 	}
 }

@@ -14,19 +14,24 @@ import (
 	"gompax/internal/wire"
 )
 
-// senderSink adapts a wire.Sender to mvc.Sink, streaming each relevant
-// message as it is generated — the socket of JMPaX's Fig. 4.
-type senderSink struct {
-	s   *wire.Sender
-	err error
+// routeSink adapts the session's wire.Senders to mvc.Sink, streaming
+// each relevant message as it is generated — the socket of JMPaX's
+// Fig. 4. Thread i's messages travel on sender i mod len(senders).
+type routeSink struct {
+	senders []*wire.Sender
+	err     error
+}
+
+func (rs *routeSink) route(thread int) *wire.Sender {
+	return rs.senders[thread%len(rs.senders)]
 }
 
 // Emit implements mvc.Sink.
-func (ss *senderSink) Emit(m event.Message) {
-	if ss.err != nil {
+func (rs *routeSink) Emit(m event.Message) {
+	if rs.err != nil {
 		return
 	}
-	ss.err = ss.s.SendMessage(m)
+	rs.err = rs.route(m.Event.Thread).SendMessage(m)
 }
 
 // RunStreaming executes the program under the scheduler with
@@ -34,17 +39,39 @@ func (ss *senderSink) Emit(m event.Message) {
 // messages, per-thread completion notices, bye) to w. initial must be
 // the initial state of the relevant variables.
 func RunStreaming(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, w io.Writer) error {
+	return runStreaming("stream", code, policy, initial, s, maxEvents, []io.Writer{w})
+}
+
+// RunStreamingChannels executes the program with instrumentation,
+// splitting the session across several channels: thread i's messages
+// and completion notice travel on channel i mod len(ws). Every channel
+// carries the Hello and a closing Bye; each channel individually
+// preserves its threads' message order while the channels themselves
+// race — the deployment §2.2 alludes to with "multiple channels to
+// reduce the monitoring overhead".
+func RunStreamingChannels(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, ws []io.Writer) error {
+	return runStreaming("channels", code, policy, initial, s, maxEvents, ws)
+}
+
+// runStreaming is the streaming scheduler loop behind RunStreaming and
+// RunStreamingChannels; mode labels the run in gompax_instrument_runs_total.
+func runStreaming(mode string, code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, ws []io.Writer) error {
+	if len(ws) == 0 {
+		return fmt.Errorf("instrument: no channels")
+	}
 	if len(code.Tasks) > 0 {
 		return fmt.Errorf("instrument: streaming sessions do not support dynamically spawned threads (the hello frame fixes the thread count)")
 	}
-	mRuns.With("stream").Inc()
+	mRuns.With(mode).Inc()
 	sp := telemetry.StartSpan("instrument.stream")
 	defer sp.End()
-	sender := wire.NewSender(w)
-	if err := sender.SendHello(wire.Hello{Threads: len(code.Threads), Initial: initial}); err != nil {
-		return err
+	sink := &routeSink{senders: make([]*wire.Sender, len(ws))}
+	for i, w := range ws {
+		sink.senders[i] = wire.NewSender(w)
+		if err := sink.senders[i].SendHello(wire.Hello{Threads: len(code.Threads), Initial: initial}); err != nil {
+			return err
+		}
 	}
-	sink := &senderSink{s: sender}
 	in := New(len(code.Threads), policy, sink)
 	m := interp.NewMachine(code, in)
 
@@ -64,7 +91,7 @@ func RunStreaming(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s 
 		}
 		if kind == interp.Finished && !done[tid] {
 			done[tid] = true
-			if err := sender.SendThreadDone(tid); err != nil {
+			if err := sink.route(tid).SendThreadDone(tid); err != nil {
 				return err
 			}
 		}
@@ -73,95 +100,22 @@ func RunStreaming(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s 
 		}
 		// Flush eagerly so the observer sees events promptly; a real
 		// deployment would flush on a timer or buffer high-water mark.
-		if err := sender.Flush(); err != nil {
-			return err
+		for _, snd := range sink.senders {
+			if err := snd.Flush(); err != nil {
+				return err
+			}
 		}
 	}
 	// Threads that never reached their halt step (deadlock/limit) are
 	// still marked complete: the session is over.
 	for tid := range done {
 		if !done[tid] {
-			if err := sender.SendThreadDone(tid); err != nil {
+			if err := sink.route(tid).SendThreadDone(tid); err != nil {
 				return err
 			}
 		}
 	}
-	return sender.SendBye()
-}
-
-// RunStreamingChannels executes the program with instrumentation,
-// splitting the session across several channels: thread i's messages
-// and completion notice travel on channel i mod len(ws). Every channel
-// carries the Hello and a closing Bye; each channel individually
-// preserves its threads' message order while the channels themselves
-// race — the deployment §2.2 alludes to with "multiple channels to
-// reduce the monitoring overhead".
-func RunStreamingChannels(code *mtl.Compiled, policy mvc.Policy, initial logic.State, s sched.Scheduler, maxEvents uint64, ws []io.Writer) error {
-	if len(ws) == 0 {
-		return fmt.Errorf("instrument: no channels")
-	}
-	if len(code.Tasks) > 0 {
-		return fmt.Errorf("instrument: streaming sessions do not support dynamically spawned threads (the hello frame fixes the thread count)")
-	}
-	mRuns.With("channels").Inc()
-	sp := telemetry.StartSpan("instrument.stream")
-	defer sp.End()
-	senders := make([]*wire.Sender, len(ws))
-	for i, w := range ws {
-		senders[i] = wire.NewSender(w)
-		if err := senders[i].SendHello(wire.Hello{Threads: len(code.Threads), Initial: initial}); err != nil {
-			return err
-		}
-	}
-	route := func(thread int) *wire.Sender { return senders[thread%len(senders)] }
-
-	var sinkErr error
-	sink := mvc.SinkFunc(func(msg event.Message) {
-		if sinkErr != nil {
-			return
-		}
-		sinkErr = route(msg.Event.Thread).SendMessage(msg)
-	})
-	in := New(len(code.Threads), policy, sink)
-	m := interp.NewMachine(code, in)
-
-	done := make([]bool, len(code.Threads))
-	for !m.Done() {
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			break
-		}
-		tid := s.Next(runnable)
-		kind, err := m.Step(tid)
-		if err != nil {
-			return err
-		}
-		if sinkErr != nil {
-			return sinkErr
-		}
-		if kind == interp.Finished && !done[tid] {
-			done[tid] = true
-			if err := route(tid).SendThreadDone(tid); err != nil {
-				return err
-			}
-		}
-		if maxEvents > 0 && m.Events() > maxEvents {
-			break
-		}
-		for _, snd := range senders {
-			if err := snd.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	for tid := range done {
-		if !done[tid] {
-			if err := route(tid).SendThreadDone(tid); err != nil {
-				return err
-			}
-		}
-	}
-	for _, snd := range senders {
+	for _, snd := range sink.senders {
 		if err := snd.SendBye(); err != nil {
 			return err
 		}

@@ -89,7 +89,7 @@ func (m *Machine) emitRecv(tid int, ch string, val int64) {
 func (m *Machine) faultSendClosed(tid int, ch string, val int64) {
 	t := &m.threads[tid]
 	m.faults = append(m.faults, fmt.Sprintf("send on closed channel %s by %s", ch, t.name))
-	t.status = Done
+	m.setStatus(tid, Done)
 	t.parked = false
 	t.blockedOn = ""
 	m.events++
@@ -130,7 +130,7 @@ func (m *Machine) wakeSelectors(ch string) {
 	for i := range m.threads {
 		t := &m.threads[i]
 		if t.status == BlockedSelect && selWatches(t, ch) {
-			t.status = Runnable
+			m.setStatus(i, Runnable)
 		}
 	}
 }
@@ -142,9 +142,9 @@ func (m *Machine) wakeChan(ch string) {
 		t := &m.threads[i]
 		switch {
 		case (t.status == BlockedSend || t.status == BlockedRecv) && t.blockedOn == ch:
-			t.status = Runnable
+			m.setStatus(i, Runnable)
 		case t.status == BlockedSelect && selWatches(t, ch):
-			t.status = Runnable
+			m.setStatus(i, Runnable)
 		}
 	}
 }
@@ -156,7 +156,7 @@ func (m *Machine) completeRecv(rid int, val int64) {
 	rt := &m.threads[rid]
 	rt.stack = append(rt.stack, val)
 	rt.pc++
-	rt.status = Runnable
+	m.setStatus(rid, Runnable)
 	rt.blockedOn = ""
 	rt.parked = false
 }
@@ -169,7 +169,7 @@ func (m *Machine) completeSend(sid int) int64 {
 	val := st.stack[len(st.stack)-1]
 	st.stack = st.stack[:len(st.stack)-1]
 	st.pc++
-	st.status = Runnable
+	m.setStatus(sid, Runnable)
 	st.blockedOn = ""
 	st.parked = false
 	return val
@@ -210,7 +210,7 @@ func (m *Machine) stepSend(tid int, in mtl.Instr) (StepKind, error) {
 	}
 	first := !t.parked
 	t.parked = true
-	t.status = BlockedSend
+	m.setStatus(tid, BlockedSend)
 	t.blockedOn = in.Name
 	if first {
 		m.emitChanBlock(tid, in.Name, "send("+in.Name+")")
@@ -260,7 +260,7 @@ func (m *Machine) stepRecv(tid int, in mtl.Instr) (StepKind, error) {
 	}
 	first := !t.parked
 	t.parked = true
-	t.status = BlockedRecv
+	m.setStatus(tid, BlockedRecv)
 	t.blockedOn = in.Name
 	if first {
 		m.emitChanBlock(tid, in.Name, "recv("+in.Name+")")
@@ -352,7 +352,7 @@ func (m *Machine) stepSelect(tid int, in mtl.Instr) (StepKind, error) {
 		vals := popSendVals()
 		t.parked = false
 		t.blockedOn = ""
-		t.status = Runnable
+		m.setStatus(tid, Runnable)
 		if c.Send {
 			val := vals[c.SendIdx]
 			if ch.closed {
@@ -405,7 +405,7 @@ func (m *Machine) stepSelect(tid int, in mtl.Instr) (StepKind, error) {
 	}
 	first := !t.parked
 	t.parked = true
-	t.status = BlockedSelect
+	m.setStatus(tid, BlockedSelect)
 	chans := make([]string, 0, len(sel.Cases))
 	seen := map[string]bool{}
 	for _, c := range sel.Cases {

@@ -14,6 +14,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -201,6 +202,12 @@ type Machine struct {
 	events  uint64
 	spawns  uint64
 	faults  []string // channel runtime faults (send on closed)
+	// runq holds the ids of the Runnable threads in ascending order and
+	// live counts the threads that are not Done. Every status change
+	// goes through setStatus, which keeps both in step with threads, so
+	// Runnable and Done cost O(1) per scheduler step.
+	runq []int
+	live int
 }
 
 // NewMachine prepares a machine with all threads at their entry
@@ -230,8 +237,51 @@ func NewMachine(code *mtl.Compiled, hooks Hooks) *Machine {
 			name:   t.Name,
 			locals: make([]int64, len(t.Locals)),
 		})
+		m.runq = append(m.runq, i)
 	}
+	m.live = len(m.threads)
 	return m
+}
+
+// setStatus moves thread tid to status s, keeping the runnable set and
+// the live count consistent. Entering or leaving Runnable costs one
+// binary search and a shift of the runnable ids above tid; a step that
+// leaves the status unchanged never calls it.
+func (m *Machine) setStatus(tid int, s Status) {
+	t := &m.threads[tid]
+	old := t.status
+	if old == s {
+		return
+	}
+	t.status = s
+	if old == Runnable {
+		i, _ := slices.BinarySearch(m.runq, tid)
+		m.runq = slices.Delete(m.runq, i, i+1)
+	} else if s == Runnable {
+		i, _ := slices.BinarySearch(m.runq, tid)
+		m.runq = slices.Insert(m.runq, i, tid)
+	}
+	if s == Done {
+		m.live--
+	} else if old == Done {
+		m.live++
+	}
+}
+
+// rebuildSchedule recomputes the runnable set and live count from the
+// thread table (after Restore replaced it wholesale).
+func (m *Machine) rebuildSchedule() {
+	m.runq = m.runq[:0]
+	m.live = 0
+	for i := range m.threads {
+		switch m.threads[i].status {
+		case Done:
+			continue
+		case Runnable:
+			m.runq = append(m.runq, i)
+		}
+		m.live++
+	}
 }
 
 // SetHooks replaces the hooks (e.g. after Restore, to attach a fresh
@@ -268,41 +318,19 @@ func (m *Machine) SharedState() map[string]int64 {
 // Status returns a thread's scheduling status.
 func (m *Machine) Status(tid int) Status { return m.threads[tid].status }
 
-// Runnable returns the ids of runnable threads in ascending order.
-func (m *Machine) Runnable() []int {
-	var out []int
-	for i := range m.threads {
-		if m.threads[i].status == Runnable {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// Runnable returns the ids of runnable threads in ascending order. The
+// slice is the machine's own runnable set, not a copy: it is read-only
+// and valid until the next Step or Restore. A caller that steps the
+// machine while iterating it must copy it first.
+func (m *Machine) Runnable() []int { return m.runq }
 
 // Done reports whether every thread has halted.
-func (m *Machine) Done() bool {
-	for i := range m.threads {
-		if m.threads[i].status != Done {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) Done() bool { return m.live == 0 }
 
 // Deadlocked reports whether no thread is runnable but some are
-// blocked.
-func (m *Machine) Deadlocked() bool {
-	anyBlocked := false
-	for i := range m.threads {
-		switch m.threads[i].status {
-		case Runnable:
-			return false
-		case BlockedLock, BlockedCond, BlockedSend, BlockedRecv, BlockedSelect:
-			anyBlocked = true
-		}
-	}
-	return anyBlocked
-}
+// blocked. Every status other than Runnable and Done is a blocked one,
+// so that is exactly "live threads, none runnable".
+func (m *Machine) Deadlocked() bool { return len(m.runq) == 0 && m.live > 0 }
 
 // BlockedThreads describes blocked threads for error reporting, e.g.
 // "thread 0 blocked(lock) on a".
@@ -386,6 +414,7 @@ func (m *Machine) Restore(s Snapshot) {
 	m.events = s.events
 	m.spawns = s.spawns
 	m.faults = append([]string(nil), s.faults...)
+	m.rebuildSchedule()
 }
 
 // RuntimeError is an MTL execution error with thread and pc context.
@@ -514,7 +543,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 				return Finished, m.fail(tid, "mutex %s already held by this thread", in.Name)
 			}
 			if holder >= 0 {
-				t.status = BlockedLock
+				m.setStatus(tid, BlockedLock)
 				t.blockedOn = in.Name
 				return Blocked, nil
 			}
@@ -534,7 +563,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 			for i := range m.threads {
 				w := &m.threads[i]
 				if w.status == BlockedLock && w.blockedOn == in.Name {
-					w.status = Runnable
+					m.setStatus(i, Runnable)
 					w.blockedOn = ""
 				}
 			}
@@ -545,7 +574,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 		case mtl.OpWait:
 			if !t.waiting {
 				t.waiting = true
-				t.status = BlockedCond
+				m.setStatus(tid, BlockedCond)
 				t.blockedOn = in.Name
 				return Blocked, nil
 			}
@@ -560,7 +589,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 			for i := range m.threads {
 				w := &m.threads[i]
 				if w.status == BlockedCond && w.blockedOn == in.Name {
-					w.status = Runnable
+					m.setStatus(i, Runnable)
 					w.blockedOn = ""
 					break
 				}
@@ -573,7 +602,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 			for i := range m.threads {
 				w := &m.threads[i]
 				if w.status == BlockedCond && w.blockedOn == in.Name {
-					w.status = Runnable
+					m.setStatus(i, Runnable)
 					w.blockedOn = ""
 				}
 			}
@@ -594,6 +623,8 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 				name:   fmt.Sprintf("%s#%d", unit.Name, m.spawns),
 				locals: make([]int64, len(unit.Locals)),
 			})
+			m.runq = append(m.runq, child) // the highest id: order holds
+			m.live++
 			// The append may have moved the backing array; refresh t.
 			t = &m.threads[tid]
 			t.pc++
@@ -617,7 +648,7 @@ func (m *Machine) Step(tid int) (StepKind, error) {
 		case mtl.OpSelect:
 			return m.stepSelect(tid, in)
 		case mtl.OpHalt:
-			t.status = Done
+			m.setStatus(tid, Done)
 			if m.holder != nil {
 				for name, h := range m.holder {
 					if h == tid {

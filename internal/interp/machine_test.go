@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,7 +42,9 @@ func runAll(t *testing.T, m *interp.Machine) {
 		if guard > 100000 {
 			t.Fatalf("machine did not terminate")
 		}
-		runnable := m.Runnable()
+		// Runnable is a view that Step rewrites: copy it to step every
+		// thread of this round.
+		runnable := slices.Clone(m.Runnable())
 		if len(runnable) == 0 {
 			t.Fatalf("deadlock: %v", m.BlockedThreads())
 		}

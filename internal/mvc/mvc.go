@@ -32,12 +32,6 @@ type Sink interface {
 	Emit(m event.Message)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(event.Message)
-
-// Emit calls f(m).
-func (f SinkFunc) Emit(m event.Message) { f(m) }
-
 // Collector is a Sink that accumulates messages in order of emission.
 type Collector struct {
 	Messages []event.Message

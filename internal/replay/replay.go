@@ -14,6 +14,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"gompax/internal/event"
 	"gompax/internal/interp"
@@ -69,7 +70,9 @@ func Synthesize(code *mtl.Compiled, policy mvc.Policy, target []event.Message) (
 			return false, nil
 		}
 		visited[key] = true
-		runnable := m.Runnable()
+		// Stepping and restoring rewrite the machine's runnable set in
+		// place: iterate a copy.
+		runnable := slices.Clone(m.Runnable())
 		for _, tid := range runnable {
 			steps++
 			if steps > maxSynthesisSteps {

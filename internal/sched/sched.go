@@ -10,6 +10,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"gompax/internal/interp"
@@ -18,8 +19,10 @@ import (
 // Scheduler picks the next thread to run among the runnable ones.
 type Scheduler interface {
 	// Next returns the thread to step next. runnable is non-empty and
-	// ascending. Returning a thread not in runnable is an error the
-	// run loop reports.
+	// ascending; it is the machine's own runnable set (see
+	// interp.Machine.Runnable), so Next must neither modify nor keep
+	// it. Returning a thread not in runnable is an error the run loop
+	// reports.
 	Next(runnable []int) int
 }
 
@@ -136,14 +139,7 @@ func Run(m *interp.Machine, s Scheduler, maxEvents uint64) (RunResult, error) {
 			return res, &DeadlockError{Blocked: m.BlockedThreads(), Schedule: res.Schedule}
 		}
 		tid := s.Next(runnable)
-		ok := false
-		for _, r := range runnable {
-			if r == tid {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if tid < 0 || tid >= m.Threads() || m.Status(tid) != interp.Runnable {
 			return res, fmt.Errorf("sched: scheduler chose non-runnable thread %d (runnable %v)", tid, runnable)
 		}
 		ev0 := m.Events()
@@ -208,7 +204,9 @@ func Explore(m *interp.Machine, limit int, maxEvents uint64, fn func(ExploreResu
 		if maxEvents > 0 && m.Events() > maxEvents {
 			return fmt.Errorf("sched: exploration exceeded %d events; non-terminating program?", maxEvents)
 		}
-		runnable := m.Runnable()
+		// Each branch below steps and restores the machine, which
+		// rewrites its runnable set in place: iterate a copy.
+		runnable := slices.Clone(m.Runnable())
 		if len(runnable) == 0 {
 			count++
 			res := ExploreResult{

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -299,6 +300,48 @@ func TestDaemonHandshakeRejects(t *testing.T) {
 	d.rejMu.Unlock()
 	if n != 2 {
 		t.Fatalf("bad-handshake rejects = %d, want 2", n)
+	}
+}
+
+// TestDaemonHostileHello drives a session whose only frame is a Hello
+// announcing an absurd thread count through the daemon. The daemon
+// must answer it with a non-ok verdict (or a REJECT) without sizing
+// anything from the count, and then keep serving other sessions.
+func TestDaemonHostileHello(t *testing.T) {
+	_, addr := newTestDaemon(t, Config{IdleTimeout: 5 * time.Second})
+	for _, threads := range []int{1 << 40, -1 << 63} {
+		var buf bytes.Buffer
+		s := wire.NewSender(&buf)
+		if err := s.SendHello(wire.Hello{Threads: threads}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, _, err := runSession(addr, "crossing", buf.Bytes(), nil)
+		runtime.ReadMemStats(&after)
+		var rej *RejectError
+		switch {
+		case errors.As(err, &rej):
+		case err != nil:
+			t.Fatalf("threads=%d: %v", threads, err)
+		case v.Verdict == VerdictOK:
+			t.Fatalf("threads=%d: hostile Hello verdict ok: %+v", threads, v)
+		}
+		// The whole daemon, this session included, allocates a few
+		// hundred KiB here; sizing per-thread state from the claimed
+		// count would need terabytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("threads=%d: the session allocated %d bytes", threads, grew)
+		}
+		t.Logf("threads=%d: verdict %+v, err %v", threads, v, err)
+	}
+	// The daemon survived: an ordinary session still gets its verdict.
+	v, _, err := runSession(addr, "clean", crossingBlob(t, cleanProp, 2), nil)
+	if err != nil || v.Verdict != VerdictOK {
+		t.Fatalf("session after the hostile ones: %+v, %v", v, err)
 	}
 }
 

@@ -64,6 +64,16 @@ func fuzzSession() []byte {
 	return buf.Bytes()
 }
 
+// hostileHello is a 16-byte session whose only frame is a Hello that
+// announces 2^40 threads.
+func hostileHello() []byte {
+	var buf bytes.Buffer
+	s := NewSender(&buf)
+	s.SendHello(Hello{Threads: 1 << 40})
+	s.Flush()
+	return buf.Bytes()
+}
+
 // FuzzReceiver checks both receiver modes are total over arbitrary
 // byte streams: no panics, guaranteed termination, and in resync mode
 // consistent accounting.
@@ -71,25 +81,37 @@ func FuzzReceiver(f *testing.F) {
 	f.Add(fuzzSession())
 	f.Add([]byte{frameMagic, byte(FrameMessage), 1, 3, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{frameMagic, frameMagic, frameMagic})
+	f.Add(hostileHello())
+	// checkHello: a delivered Hello never announces more threads than
+	// a clock can index, since the observer sizes per-thread state
+	// from it.
+	checkHello := func(t *testing.T, fr Frame) {
+		if fr.Kind == FrameHello && (fr.Hello.Threads < 0 || fr.Hello.Threads > maxClockComponents) {
+			t.Fatalf("delivered Hello with %d threads (bound %d)", fr.Hello.Threads, maxClockComponents)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Strict mode: reads frames until the first error.
 		r := NewReceiver(bytes.NewReader(data))
 		for i := 0; i < 1+len(data); i++ {
-			if _, err := r.Next(); err != nil {
+			fr, err := r.Next()
+			if err != nil {
 				break
 			}
+			checkHello(t, fr)
 		}
 		// Resync mode: must terminate at EOF with consistent stats.
 		r = NewResyncReceiver(bytes.NewReader(data))
 		frames := 0
 		for {
-			_, err := r.Next()
+			fr, err := r.Next()
 			if errors.Is(err, ErrClosed) || errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
 				t.Fatalf("resync receiver surfaced error: %v", err)
 			}
+			checkHello(t, fr)
 			frames++
 			if frames > len(data) {
 				t.Fatalf("more frames than input bytes")

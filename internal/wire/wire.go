@@ -162,7 +162,8 @@ func msgErr(off int, field string, err error) error {
 	return &FrameError{Kind: FrameMessage, Offset: int64(off), Field: field, Err: err}
 }
 
-// maxClockComponents guards clock lengths against corrupt counts.
+// maxClockComponents guards clock lengths against corrupt counts; it
+// also bounds a Hello's thread count (one clock component per thread).
 const maxClockComponents = 1 << 20
 
 // appendEventFields encodes the event portion of a message, shared by
@@ -396,6 +397,12 @@ func decodeHello(buf []byte) (Hello, error) {
 	u, n, err := getUvarint(buf[off:])
 	if err != nil {
 		return h, helloErr(off, "threads", err)
+	}
+	// The observer sizes per-thread state from this count, so an
+	// unchecked value is an allocation the client controls. No clock
+	// can index a thread past maxClockComponents, which bounds it.
+	if u > maxClockComponents {
+		return h, helloErr(off, "threads", ErrBadLength)
 	}
 	h.Threads = int(u)
 	off += n

@@ -385,3 +385,25 @@ func TestSplitAndInterleaveChannels(t *testing.T) {
 		lastIdx[m.Event.Thread] = m.Event.Index
 	}
 }
+
+// TestHelloThreadBound: a Hello announcing more threads than a clock
+// can index is a bad frame, whatever the count — including one past
+// MaxInt, which would otherwise decode to a negative int.
+func TestHelloThreadBound(t *testing.T) {
+	for _, threads := range []uint64{maxClockComponents + 1, 1 << 40, 1 << 63, ^uint64(0)} {
+		payload := binary.AppendUvarint([]byte{ProtocolVersion}, threads)
+		payload = binary.AppendUvarint(payload, 0) // no variables
+		if _, err := decodeHello(payload); !errors.Is(err, ErrBadLength) {
+			t.Errorf("threads=%d: err = %v, want ErrBadLength", threads, err)
+		}
+	}
+	payload := binary.AppendUvarint([]byte{ProtocolVersion}, maxClockComponents)
+	payload = binary.AppendUvarint(payload, 0)
+	if h, err := decodeHello(payload); err != nil || h.Threads != maxClockComponents {
+		t.Fatalf("threads at the bound: %+v, %v", h, err)
+	}
+	r := NewReceiver(bytes.NewReader(hostileHello()))
+	if _, err := r.Next(); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("receiver delivered the 2^40-thread Hello: %v", err)
+	}
+}

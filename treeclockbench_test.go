@@ -16,8 +16,14 @@ import (
 // small enough that recording 1024 interpreted threads stays cheap.
 const deepRounds = 6
 
+// deepClockScales are the thread counts the deep clock benchmarks and
+// the tree-clock gate measure. They add 512 to the lab's
+// progs.DeepScales so the flat/tree crossover that sets
+// clock.DefaultAutoThreshold is bracketed by measured widths.
+var deepClockScales = []int{64, 256, 512, 1024}
+
 // deepWorkloads records the progs.DeepFanIn workload at every deep
-// scale: the Join-dominated regime (wide fan-in joins over clocks with
+// clock scale: the Join-dominated regime (wide fan-in joins over clocks with
 // `threads` components) where the flat substrate's O(threads) per-op
 // cost dominates and the tree substrate's O(subtree-changed) sharing
 // pays off. The recorded policy is replaced with Everything: Algorithm
@@ -29,7 +35,7 @@ const deepRounds = 6
 // production, ticking at every sync event).
 func deepWorkloads() ([]clockWorkload, error) {
 	var out []clockWorkload
-	for _, threads := range progs.DeepScales {
+	for _, threads := range deepClockScales {
 		w, err := recordWorkload(
 			fmt.Sprintf("deep-fanin-%d", threads),
 			progs.DeepFanIn(threads, deepRounds),
